@@ -85,6 +85,21 @@ impl ArraySpec {
         self.rows * self.cols
     }
 
+    /// Checks what [`ArraySpec::sample`] requires of the spec, for stores
+    /// that sample cells their own way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec's `rows` disagrees with the bit-line's
+    /// `cells_per_bitline`, or either dimension is zero.
+    pub fn assert_consistent(&self) {
+        assert!(self.rows > 0 && self.cols > 0, "array must be non-empty");
+        assert_eq!(
+            self.rows, self.bitline.cells_per_bitline,
+            "rows must equal cells per bit-line"
+        );
+    }
+
     /// Samples a full array with per-cell variation.
     ///
     /// # Panics
@@ -92,11 +107,7 @@ impl ArraySpec {
     /// Panics if the spec's `rows` disagrees with the bit-line's
     /// `cells_per_bitline`, or either dimension is zero.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Array {
-        assert!(self.rows > 0 && self.cols > 0, "array must be non-empty");
-        assert_eq!(
-            self.rows, self.bitline.cells_per_bitline,
-            "rows must equal cells per bit-line"
-        );
+        self.assert_consistent();
         let cells = (0..self.capacity_bits())
             .map(|_| self.cell.sample_cell(rng))
             .collect();

@@ -123,15 +123,38 @@ impl CellSpec {
 
     /// Samples one varied cell.
     pub fn sample_cell<R: Rng + ?Sized>(&self, rng: &mut R) -> Cell {
-        let factors = self.mtj_variation.sample(rng);
-        let device = self.mtj.varied(&factors).into_device();
+        let variation = self.sample_variation(rng);
+        self.varied_cell(&variation)
+    }
+
+    /// Draws one cell's variation factors — the exact draws
+    /// [`CellSpec::sample_cell`] makes (two MTJ normals, then one
+    /// transistor normal), without building the cell.
+    pub fn sample_variation<R: Rng + ?Sized>(&self, rng: &mut R) -> CellVariation {
+        let mtj = self.mtj_variation.sample(rng);
         let transistor_factor =
             (self.transistor_sigma * stt_stats::dist::standard_normal(rng)).exp();
+        CellVariation {
+            mtj,
+            transistor_factor,
+        }
+    }
+
+    /// The cell `variation` makes of this recipe, in the parallel state.
+    /// Deterministic: the same factors always rebuild the same cell.
+    #[must_use]
+    pub fn varied_cell(&self, variation: &CellVariation) -> Cell {
         Cell {
-            device,
-            transistor: self.transistor.scaled(transistor_factor),
+            device: self.mtj.varied(&variation.mtj).into_device(),
+            transistor: self.varied_transistor(variation),
             state: ResistanceState::Parallel,
         }
+    }
+
+    /// The access transistor `variation` makes of this recipe.
+    #[must_use]
+    pub fn varied_transistor(&self, variation: &CellVariation) -> AccessTransistor {
+        self.transistor.scaled(variation.transistor_factor)
     }
 
     /// Samples only the MTJ variation factors (cheaper than a full cell when
@@ -139,6 +162,17 @@ impl CellSpec {
     pub fn sample_factors<R: Rng + ?Sized>(&self, rng: &mut R) -> SampledMtj {
         self.mtj_variation.sample(rng)
     }
+}
+
+/// The per-bit process draws behind one sampled cell: the MTJ's
+/// resistance factors and the transistor's resistance factor (24 B, the
+/// compact stand-in for a full [`Cell`]).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct CellVariation {
+    /// MTJ common-mode and TMR factors.
+    pub mtj: SampledMtj,
+    /// Multiplicative factor on the nominal transistor resistance.
+    pub transistor_factor: f64,
 }
 
 /// One 1T1J cell instance: a (possibly varied) device plus its stored state.

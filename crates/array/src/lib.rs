@@ -45,7 +45,7 @@ pub mod wordline;
 
 pub use array::{Address, Array, ArraySpec};
 pub use bitline::BitlineSpec;
-pub use cell::{AccessTransistor, Cell, CellSpec};
+pub use cell::{AccessTransistor, Cell, CellSpec, CellVariation};
 pub use cost::{OperationCost, Phase, PhaseKind};
 pub use fault::{run_with_power_failure, OperationStep, PowerFailure, PowerFailureOutcome};
 pub use geometry::CellGeometry;

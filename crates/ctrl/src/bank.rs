@@ -1,7 +1,7 @@
-//! One bank: a sampled array, its own RNG, and the logic that serves a
+//! One bank: a sampled cell store, its own RNG, and the logic that serves a
 //! transaction end to end.
 //!
-//! A bank owns everything it touches — cell array, ground-truth mirror,
+//! A bank owns everything it touches — cell store, ground-truth mirror,
 //! telemetry, random streams — so banks can be driven from different
 //! threads with no sharing at all. Its RNG is seeded from `(controller
 //! seed, bank index)` with the same SplitMix64 scrambling as the
@@ -24,21 +24,18 @@
 //!   reference-cell bursts (see [`crate::calib`]), so recalibrating a bank
 //!   never changes what a demand read would have seen.
 //!
-//! Dynamic drift (see [`DriftPlan`]) evolves each bank's cells on its
-//! demand busy clock. Rebuilding cells for a new drift quantum draws no
-//! RNG, so drift-laden runs stay bit-identical across serial, parallel and
-//! event-driven dispatch too.
+//! The cells themselves live in a compact store (DESIGN.md §16): a
+//! precomputed margin column and a state bitset. Dynamic drift (see
+//! [`DriftPlan`]) evolves each bank's cells on its demand busy clock by
+//! recomputing that column, which draws no RNG, so drift-laden runs stay
+//! bit-identical across serial, parallel and event-driven dispatch too.
 
-use std::cell::RefCell;
 use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use stt_array::{
-    run_with_power_failure, AccessTransistor, Address, Array, Cell, OperationCost, OperationStep,
-    Phase, PhaseKind, PowerFailure,
-};
-use stt_mtj::{LinearRolloff, MtjSpec, ResistanceCurve};
+use stt_array::{AccessTransistor, Address, Cell, OperationCost, Phase, PhaseKind};
+use stt_mtj::MtjSpec;
 use stt_sense::{ChipTiming, DesignPoint, SchemeKind};
 
 use crate::calib::CalibConfig;
@@ -49,6 +46,7 @@ use crate::reliability::codec::{self, DecodeKind};
 use crate::reliability::{word_count, ScrubCursor, ScrubOutcome, WORD_BITS};
 use crate::retry::RetryPolicy;
 use crate::sense::Scheme;
+use crate::store::{BitSet, CellStore};
 use crate::telemetry::{BankTelemetry, EccEventKind};
 use crate::txn::{Op, Transaction};
 
@@ -66,11 +64,8 @@ const MARCH_STREAM: u64 = 0x4d41_5243_4853_4d33;
 /// Seed salt for the per-bank calibration RNG stream.
 const CALIB_STREAM: u64 = 0x4341_4c49_4253_4d34;
 
-/// Residual high/low separation of a pinhole-shorted MTJ. The MgO defect
-/// shunts the tunnel barrier, so both magnetic states conduct through the
-/// short: the cell's "high" state is electrically a low state a few percent
-/// stiffer, far below any scheme's sensing threshold.
-const PINHOLE_RESIDUAL_TMR: f64 = 0.02;
+// The bitsets hand out 64-cell words as ECC words.
+const _: () = assert!(WORD_BITS == 64);
 
 /// Which seeded RNG stream an operation draws from. Keeping demand, scrub
 /// and March traffic on separate streams means enabling one never perturbs
@@ -80,6 +75,38 @@ enum Stream {
     Demand,
     Scrub,
     March,
+}
+
+/// The bank's seeded RNG streams.
+#[derive(Debug)]
+struct Streams {
+    demand: StdRng,
+    scrub: StdRng,
+    fault: StdRng,
+    march: StdRng,
+    calib: StdRng,
+}
+
+impl Streams {
+    /// The stream senses and write pulses of `stream` traffic draw from.
+    fn sense(&mut self, stream: Stream) -> &mut StdRng {
+        match stream {
+            Stream::Demand => &mut self.demand,
+            Stream::Scrub => &mut self.scrub,
+            Stream::March => &mut self.march,
+        }
+    }
+
+    /// The stream soft-error injection during `stream` traffic draws
+    /// from: demand traffic has its own fault stream, background traffic
+    /// keeps everything on its own stream.
+    fn fault(&mut self, stream: Stream) -> &mut StdRng {
+        match stream {
+            Stream::Demand => &mut self.fault,
+            Stream::Scrub => &mut self.scrub,
+            Stream::March => &mut self.march,
+        }
+    }
 }
 
 /// Controller-side ECC state for one bank: the per-word check store
@@ -92,34 +119,30 @@ struct EccState {
 }
 
 /// Dynamic-drift state for one bank, present only under a non-quiet
-/// [`DriftPlan`]: the per-cell *undrifted* baseline specs (captured after
-/// sampling and pinhole swaps, so defects drift with the rest of the
-/// array), and the quantised drift key the cells were last rebuilt at.
+/// [`DriftPlan`]: the plan and the quantised drift key the margin column
+/// was last computed at.
 #[derive(Debug)]
 struct DriftState {
     plan: DriftPlan,
     /// `None` until the first access applies drift.
     key: Option<DriftKey>,
-    /// Row-major per-cell baseline specs at the 300 K calibration point.
-    baseline: Vec<MtjSpec>,
 }
 
 /// One independently-addressable bank of the controller.
 #[derive(Debug)]
 pub struct Bank {
     index: usize,
-    array: Array,
+    rows: usize,
+    cols: usize,
+    store: CellStore,
     /// What the host believes each cell holds (row-major).
-    truth: Vec<bool>,
-    rng: StdRng,
-    scrub_rng: StdRng,
-    fault_rng: StdRng,
-    march_rng: StdRng,
-    calib_rng: StdRng,
+    truth: BitSet,
+    streams: Streams,
     scheme: Scheme,
     retry: RetryPolicy,
-    /// Stuck-at defects on this bank, pre-filtered from the fault plan.
-    stuck: Vec<(Address, bool)>,
+    /// Stuck-at defects on this bank (row-major cell, value), pre-filtered
+    /// from the fault plan.
+    stuck: Vec<(usize, bool)>,
     read_cost: OperationCost,
     write_cost: OperationCost,
     telemetry: BankTelemetry,
@@ -127,9 +150,10 @@ pub struct Bank {
     /// SECDED sidecar, present only under `EccMode::Secded`.
     ecc: Option<EccState>,
     /// Busy-time stamp (ns) of each cell's last access, the retention
-    /// fault's per-cell clock. Busy time — not wall time — so retention is
-    /// identical across serial, parallel and event-driven dispatch.
-    last_touch_ns: Vec<f64>,
+    /// fault's per-cell clock, present only when the fault plan enables
+    /// retention. Busy time — not wall time — so retention is identical
+    /// across serial, parallel and event-driven dispatch.
+    last_touch_ns: Option<Vec<f64>>,
     /// Dynamic-drift sidecar, present only under a non-quiet plan.
     drift: Option<DriftState>,
     /// Inline calibration daemon, `None` when off (or frontend-driven).
@@ -146,109 +170,68 @@ pub struct Bank {
 impl Bank {
     /// Samples and initialises bank `index` of `config`.
     ///
-    /// The array is filled with a random pattern (ideal preload writes, not
-    /// traffic), stuck cells are snapped to their defect value, and the
+    /// The cells are filled with a random pattern (ideal preload writes,
+    /// not traffic), stuck cells are snapped to their defect value, and the
     /// host's truth mirror starts equal to the actual stored state — so
     /// every misread and corrupted bit the telemetry later reports was
     /// caused by served traffic, not initial conditions. Under ECC the
     /// per-word check store is encoded from that same consistent state.
+    ///
+    /// Draws exactly what sampling `config.spec` into an
+    /// [`stt_array::Array`] and preloading it row-major would, so every
+    /// later stream is unchanged.
     #[must_use]
     pub fn new(index: usize, config: &ControllerConfig) -> Self {
         let spec = &config.spec;
+        let (rows, cols) = (spec.rows, spec.cols);
         let mut rng = stt_stats::trial_rng(config.seed, index);
-        let scrub_rng = stt_stats::trial_rng(config.seed ^ SCRUB_STREAM, index);
-        let fault_rng = stt_stats::trial_rng(config.seed ^ FAULT_STREAM, index);
-        let march_rng = stt_stats::trial_rng(config.seed ^ MARCH_STREAM, index);
-        let calib_rng = stt_stats::trial_rng(config.seed ^ CALIB_STREAM, index);
-        let mut array = spec.sample(&mut rng);
-        let mut truth = vec![false; spec.capacity_bits()];
-        let cols = spec.cols;
-        // Row-major like `Array::addresses`, so the preload draw order (and
-        // every downstream stream) is unchanged — without materialising an
-        // address list per bank, which lazy chips build by the thousand.
-        for row in 0..spec.rows {
-            for col in 0..cols {
-                let bit = rng.gen_bool(0.5);
-                array.write_bit(Address::new(row, col), bit);
-                truth[row * cols + col] = bit;
-            }
-        }
-        let stuck: Vec<(Address, bool)> = config
+        let design = DesignPoint::date2010(&spec.cell.nominal_cell());
+        let scheme = Scheme::for_kind(config.kind, &design);
+        // Pinhole defects get a device whose "high" state is the low-state
+        // curve scaled by the residual TMR, with the sampled transistor.
+        let pinholes: Vec<usize> = config
+            .faults
+            .pinhole_cells_of(index)
+            .map(|defect| cell_index(rows, cols, defect.addr))
+            .collect();
+        let mut store =
+            CellStore::sample(spec, &scheme, &pinholes, !config.drift.is_quiet(), &mut rng);
+        // Row-major preload, one draw per cell after the sampling draws.
+        let mut truth = BitSet::from_fn(spec.capacity_bits(), |_| rng.gen_bool(0.5));
+        let stuck: Vec<(usize, bool)> = config
             .faults
             .stuck_cells_of(index)
-            .map(|cell| (cell.addr, cell.value))
+            .map(|cell| (cell_index(rows, cols, cell.addr), cell.value))
             .collect();
-        for &(addr, value) in &stuck {
-            array.write_bit(addr, value);
-            truth[addr.row * cols + addr.col] = value;
+        for &(cell, value) in &stuck {
+            truth.set(cell, value);
         }
-        // Pinhole defects: swap the sampled device for one whose "high"
-        // state is the low-state curve scaled by the residual TMR, keeping
-        // the sampled transistor and the preloaded state. No RNG is drawn,
-        // so a quiet plan leaves every stream untouched.
-        for defect in config.faults.pinhole_cells_of(index) {
-            let mtj = &spec.cell.mtj;
-            let low = mtj.resistance.r_low0();
-            let dr_low = mtj.resistance.dr_low_max();
-            let collapsed = MtjSpec {
-                resistance: LinearRolloff::new(
-                    low,
-                    low * (1.0 + PINHOLE_RESIDUAL_TMR),
-                    dr_low,
-                    dr_low * (1.0 + PINHOLE_RESIDUAL_TMR),
-                    mtj.resistance.i_max(),
-                ),
-                switching: mtj.switching,
-            };
-            let prior = array.cell(defect.addr).state();
-            let transistor = *array.cell(defect.addr).transistor();
-            *array.cell_mut(defect.addr) = Cell::new(collapsed.into_device(), transistor);
-            array.cell_mut(defect.addr).set_state(prior);
-        }
-        // Dynamic drift: capture the per-cell baseline specs *after* the
-        // pinhole swaps, so every defect drifts along with the healthy
-        // cells. The capture (and later rebuilds) draws no RNG.
-        let drift = (!config.drift.is_quiet()).then(|| DriftState {
-            baseline: array
-                .addresses()
-                .map(|addr| {
-                    let device = array.cell(addr).device();
-                    let ResistanceCurve::Linear(rolloff) = device.curve() else {
-                        panic!("dynamic drift requires linear-calibration cells")
-                    };
-                    MtjSpec {
-                        resistance: *rolloff,
-                        switching: *device.switching(),
-                    }
-                })
-                .collect(),
-            plan: config.drift.clone(),
-            key: None,
-        });
+        store.load(truth.clone());
         let nominal = spec.cell.nominal_cell();
         let mut telemetry = BankTelemetry::with_bounds(&config.latency_bounds);
         let ecc = config.ecc.is_enabled().then(|| {
             let words = word_count(spec.capacity_bits());
             telemetry.ecc.words_total = words as u64;
             EccState {
-                check: (0..words)
-                    .map(|w| codec::encode(truth_word(&truth, w)))
-                    .collect(),
+                check: (0..words).map(|w| codec::encode(truth.word(w))).collect(),
                 cursor: ScrubCursor::new(words),
             }
         });
-        let design = DesignPoint::date2010(&spec.cell.nominal_cell());
         let timing = ChipTiming::date2010();
         Self {
             index,
-            array,
+            rows,
+            cols,
+            store,
             truth,
-            rng,
-            scrub_rng,
-            fault_rng,
-            march_rng,
-            calib_rng,
-            scheme: Scheme::for_kind(config.kind, &design),
+            streams: Streams {
+                demand: rng,
+                scrub: stt_stats::trial_rng(config.seed ^ SCRUB_STREAM, index),
+                fault: stt_stats::trial_rng(config.seed ^ FAULT_STREAM, index),
+                march: stt_stats::trial_rng(config.seed ^ MARCH_STREAM, index),
+                calib: stt_stats::trial_rng(config.seed ^ CALIB_STREAM, index),
+            },
+            scheme,
             retry: config.retry,
             stuck,
             read_cost: timing.read_cost(config.kind, &design),
@@ -256,8 +239,15 @@ impl Bank {
             telemetry,
             reads_served: 0,
             ecc,
-            last_touch_ns: vec![0.0; spec.capacity_bits()],
-            drift,
+            last_touch_ns: config
+                .faults
+                .retention_rate_per_ns
+                .is_some()
+                .then(|| vec![0.0; spec.capacity_bits()]),
+            drift: (!config.drift.is_quiet()).then(|| DriftState {
+                plan: config.drift.clone(),
+                key: None,
+            }),
             calib: config.calib,
             nominal_mtj: spec.cell.mtj.clone(),
             nominal_transistor: *nominal.transistor(),
@@ -284,7 +274,8 @@ impl Bank {
         self.ecc.is_some()
     }
 
-    /// Serves one transaction.
+    /// Serves one transaction. `faults` must be the plan the bank was
+    /// built with.
     ///
     /// # Panics
     ///
@@ -333,21 +324,21 @@ impl Bank {
         faults: &FaultPlan,
     ) {
         self.maybe_apply_drift();
-        let addr = self.addr_of(cell as usize);
+        let index = cell as usize;
+        assert!(index < self.truth.len(), "March cell {cell} out of range");
         self.telemetry.march.ops += 1;
         match op {
             MarchOp::W(bit) => {
                 self.telemetry.march.writes += 1;
-                let pulses_burned = self.write_cell(addr, bit, faults, Stream::March);
+                let pulses_burned = self.write_cell(index, bit, faults, Stream::March);
                 self.telemetry.march.busy_time +=
                     self.write_cost.latency() * f64::from(pulses_burned);
                 self.telemetry.energy += self.write_cost.energy() * f64::from(pulses_burned);
-                let index = self.truth_index(addr);
-                self.last_touch_ns[index] = self.busy_now_ns();
+                self.touch(index);
             }
             MarchOp::R(expected) => {
                 self.telemetry.march.reads += 1;
-                let got = self.march_read(addr, raw, faults);
+                let got = self.march_read(index, raw, faults);
                 if got != expected {
                     self.telemetry
                         .march
@@ -364,70 +355,38 @@ impl Bank {
     /// and senses the one cell directly, like an unprotected part.
     /// Soft-error models tick as they do for demand reads, on the March
     /// stream.
-    fn march_read(&mut self, addr: Address, raw: bool, faults: &FaultPlan) -> bool {
-        let cell = self.truth_index(addr);
+    fn march_read(&mut self, cell: usize, raw: bool, faults: &FaultPlan) -> bool {
         if self.ecc.is_some() && !raw {
             let word = cell / WORD_BITS;
             let span = self.word_span(word);
-            self.apply_retention(span.clone(), faults, Stream::March);
             let (received, max_attempts, total_attempts, _) =
-                self.sense_word(span.clone(), Stream::March);
-            if self.scheme.is_destructive() {
-                self.snap_stuck_cells();
-            }
-            self.apply_read_disturb(span.clone(), faults, Stream::March);
-            if faults.has_soft_errors() {
-                self.snap_stuck_cells();
-            }
+                self.sense_span(span.clone(), faults, Stream::March);
             let check = self.ecc.as_ref().expect("checked above").check[word];
             let decoded = codec::decode(received, check);
             self.telemetry.march.busy_time += self.read_cost.latency() * f64::from(max_attempts);
             self.telemetry.energy += self.read_cost.energy() * total_attempts as f64;
             (decoded.data >> (cell - span.start)) & 1 == 1
         } else {
-            self.apply_retention(cell..cell + 1, faults, Stream::March);
-            let scheme = self.scheme;
-            let retry = self.retry;
-            let (array, rng) = (&mut self.array, &mut self.march_rng);
-            let resolution = retry.resolve(|| scheme.sense_once(array, addr, rng));
-            if scheme.is_destructive() {
-                self.snap_stuck_cells();
-            }
-            self.apply_read_disturb(cell..cell + 1, faults, Stream::March);
-            if faults.has_soft_errors() {
-                self.snap_stuck_cells();
-            }
-            self.telemetry.march.busy_time +=
-                self.read_cost.latency() * f64::from(resolution.attempts);
-            self.telemetry.energy += self.read_cost.energy() * f64::from(resolution.attempts);
-            resolution.bit
+            let (received, attempts, _, _) = self.sense_span(cell..cell + 1, faults, Stream::March);
+            self.telemetry.march.busy_time += self.read_cost.latency() * f64::from(attempts);
+            self.telemetry.energy += self.read_cost.energy() * f64::from(attempts);
+            received & 1 == 1
         }
     }
 
     fn serve_read_plain(&mut self, addr: Address, faults: &FaultPlan) {
-        let cell = self.truth_index(addr);
-        self.apply_retention(cell..cell + 1, faults, Stream::Demand);
-        let scheme = self.scheme;
-        let retry = self.retry;
-        let (array, rng) = (&mut self.array, &mut self.rng);
-        let resolution = retry.resolve(|| scheme.sense_once(array, addr, rng));
-        if scheme.is_destructive() {
-            // The erase/write-back pulses may have hit a stuck cell.
-            self.snap_stuck_cells();
-        }
-        self.apply_read_disturb(cell..cell + 1, faults, Stream::Demand);
-        if faults.has_soft_errors() {
-            self.snap_stuck_cells();
-        }
-        self.telemetry.read_retries += u64::from(resolution.retries());
-        if !resolution.confident {
+        let cell = self.cell_of(addr);
+        let (received, attempts, _, unconfident) =
+            self.sense_span(cell..cell + 1, faults, Stream::Demand);
+        self.telemetry.read_retries += u64::from(attempts - 1);
+        if unconfident {
             self.telemetry.unconfident_reads += 1;
         }
-        if resolution.bit != self.truth[cell] {
+        if (received & 1 == 1) != self.truth.get(cell) {
             self.telemetry.misreads += 1;
         }
-        let latency = self.read_cost.latency() * f64::from(resolution.attempts);
-        let energy = self.read_cost.energy() * f64::from(resolution.attempts);
+        let latency = self.read_cost.latency() * f64::from(attempts);
+        let energy = self.read_cost.energy() * f64::from(attempts);
         self.telemetry.record_read_latency(latency);
         self.telemetry.busy_time += latency;
         self.telemetry.energy += energy;
@@ -441,19 +400,11 @@ impl Bank {
     /// single-bit error anywhere in the word — stuck cell, retention flip,
     /// marginal sense — no longer reaches the host.
     fn serve_read_ecc(&mut self, addr: Address, faults: &FaultPlan) {
-        let cell = self.truth_index(addr);
+        let cell = self.cell_of(addr);
         let word = cell / WORD_BITS;
         let span = self.word_span(word);
-        self.apply_retention(span.clone(), faults, Stream::Demand);
         let (received, max_attempts, total_attempts, any_unconfident) =
-            self.sense_word(span.clone(), Stream::Demand);
-        if self.scheme.is_destructive() {
-            self.snap_stuck_cells();
-        }
-        self.apply_read_disturb(span.clone(), faults, Stream::Demand);
-        if faults.has_soft_errors() {
-            self.snap_stuck_cells();
-        }
+            self.sense_span(span.clone(), faults, Stream::Demand);
         self.telemetry.read_retries += u64::from(max_attempts - 1);
         if any_unconfident {
             self.telemetry.unconfident_reads += 1;
@@ -461,7 +412,7 @@ impl Bank {
 
         let check = self.ecc.as_ref().expect("ECC read without ECC state").check[word];
         let decoded = codec::decode(received, check);
-        let truth = truth_word(&self.truth, word);
+        let truth = self.truth.word(word);
         let ecc = &mut self.telemetry.ecc;
         match decoded.kind {
             DecodeKind::Uncorrectable => {
@@ -481,7 +432,7 @@ impl Bank {
             _ => ecc.clean_reads += 1,
         }
         let delivered = (decoded.data >> (cell - span.start)) & 1 == 1;
-        if delivered != self.truth[cell] {
+        if delivered != self.truth.get(cell) {
             self.telemetry.misreads += 1;
         }
 
@@ -492,48 +443,40 @@ impl Bank {
         self.telemetry.energy += energy;
     }
 
-    /// A read interrupted by a power cut. The scheme's sequence is built as
-    /// separate steps and cut at the scheme's most vulnerable point: for
-    /// the destructive scheme that is after the erase (the §I window), for
-    /// the read-only schemes any point — no step mutates state either way.
-    /// The aborted read delivers no bit and charges no latency: the rail is
+    /// A read interrupted by a power cut at the scheme's most vulnerable
+    /// point: for the destructive scheme that is after the erase (the §I
+    /// window — sensed, erased, never written back); the read-only schemes
+    /// have no mutating step, so any cut point is the sense alone. The
+    /// aborted read delivers no bit and charges no latency: the rail is
     /// down.
     fn serve_read_with_power_cut(&mut self, addr: Address) {
         self.telemetry.power_cuts += 1;
-        let scheme = self.scheme;
-        let sensed = scheme.sense_readonly(&self.array, addr, &mut self.rng);
-        let rng = RefCell::new(&mut self.rng);
-        let steps: Vec<OperationStep<'_>> = if scheme.is_destructive() {
-            vec![
-                Box::new(|_a: &mut Array| {}), // read 1: V_BL1 onto C1
-                Box::new(|a: &mut Array| {
-                    a.write_bit_pulsed(addr, false, &mut **rng.borrow_mut());
-                }),
-                Box::new(|_a: &mut Array| {}), // read 2 + compare
-                Box::new(|a: &mut Array| {
-                    a.write_bit_pulsed(addr, sensed.bit, &mut **rng.borrow_mut());
-                }),
-            ]
-        } else {
-            // Two sampling phases and the sense — none touches the cell.
-            vec![
-                Box::new(|_a: &mut Array| {}),
-                Box::new(|_a: &mut Array| {}),
-                Box::new(|_a: &mut Array| {}),
-            ]
-        };
-        let outcome = run_with_power_failure(&mut self.array, steps, PowerFailure::after_step(1));
-        self.telemetry.corrupted_bits += outcome.corrupted.len() as u64;
+        let cell = self.cell_of(addr);
+        let before = self.store.bit(cell);
+        let rng = &mut self.streams.demand;
+        let _ = self.store.sense_readonly(&self.scheme, cell, rng);
+        if self.scheme.is_destructive() {
+            self.store.write_pulsed(cell, false, rng);
+        }
+        self.telemetry.corrupted_bits += u64::from(self.store.bit(cell) != before);
         self.snap_stuck_cells();
     }
 
     fn serve_write(&mut self, addr: Address, bit: bool, faults: &FaultPlan) {
         self.telemetry.writes += 1;
-        let pulses_burned = self.write_cell(addr, bit, faults, Stream::Demand);
+        let cell = self.cell_of(addr);
+        let pulses_burned = self.write_cell(cell, bit, faults, Stream::Demand);
         self.telemetry.busy_time += self.write_cost.latency() * f64::from(pulses_burned);
         self.telemetry.energy += self.write_cost.energy() * f64::from(pulses_burned);
-        let index = self.truth_index(addr);
-        self.last_touch_ns[index] = self.busy_now_ns();
+        self.touch(cell);
+    }
+
+    /// Restarts `cell`'s retention clock at the current busy time.
+    fn touch(&mut self, cell: usize) {
+        let now_ns = self.busy_now_ns();
+        if let Some(clock) = &mut self.last_touch_ns {
+            clock[cell] = now_ns;
+        }
     }
 
     /// The write datapath shared by demand and March traffic: programming
@@ -543,9 +486,9 @@ impl Bank {
     /// price on its own clock. The truth mirror and ECC check store always
     /// track what the host *believes* it wrote; the defects corrupt only
     /// the stored state.
-    fn write_cell(&mut self, addr: Address, bit: bool, faults: &FaultPlan, stream: Stream) -> u32 {
-        let index = self.truth_index(addr);
-        let prior = self.array.read_state(addr).bit();
+    fn write_cell(&mut self, cell: usize, bit: bool, faults: &FaultPlan, stream: Stream) -> u32 {
+        let addr = self.addr_of(cell);
+        let prior = self.store.bit(cell);
         let transition_lost = prior != bit
             && faults
                 .transition_faults_of(self.index)
@@ -558,13 +501,11 @@ impl Bank {
             self.telemetry.write_transition_faults += 1;
             1
         } else {
-            let array = &mut self.array;
-            let rng = match stream {
-                Stream::Demand => &mut self.rng,
-                Stream::Scrub => &mut self.scrub_rng,
-                Stream::March => &mut self.march_rng,
-            };
-            match array.write_bit_verified(addr, bit, MAX_WRITE_ATTEMPTS, rng) {
+            let rng = self.streams.sense(stream);
+            match self
+                .store
+                .write_verified(cell, bit, MAX_WRITE_ATTEMPTS, rng)
+            {
                 Some(used) => {
                     self.telemetry.write_retries += u64::from(used - 1);
                     used
@@ -575,54 +516,42 @@ impl Bank {
                 }
             }
         };
-        self.truth[index] = bit;
+        self.truth.set(cell, bit);
         self.snap_stuck_cells();
         // Backhopping: a completed write hops back before the next access.
         if !transition_lost {
             let prob = faults
                 .backhop_cells_of(self.index)
-                .find(|cell| cell.addr == addr)
-                .map(|cell| cell.prob);
+                .find(|defect| defect.addr == addr)
+                .map(|defect| defect.prob);
             if let Some(prob) = prob {
-                let rng = match stream {
-                    Stream::Demand => &mut self.rng,
-                    Stream::Scrub => &mut self.scrub_rng,
-                    Stream::March => &mut self.march_rng,
-                };
-                if rng.gen_bool(prob) {
-                    self.array.write_bit(addr, !bit);
+                if self.streams.sense(stream).gen_bool(prob) {
+                    self.store.set(cell, !bit);
                     self.telemetry.backhop_flips += 1;
                 }
             }
         }
-        self.apply_coupling(addr, index, bit, prior, faults);
+        self.apply_coupling(cell, bit, prior, faults);
         // Controller-side read-modify-write: the check columns are refreshed
         // from the host's word, so they always match the truth mirror.
         if let Some(ecc) = &mut self.ecc {
-            let word = index / WORD_BITS;
-            ecc.check[word] = codec::encode(truth_word(&self.truth, word));
+            let word = cell / WORD_BITS;
+            ecc.check[word] = codec::encode(self.truth.word(word));
         }
         pulses_burned
     }
 
-    /// Evaluates intra-word coupling defects after a write to `addr` (the
+    /// Evaluates intra-word coupling defects after a write to `cell` (the
     /// potential aggressor) settles. The CFst trigger is the *final stored*
     /// aggressor state — so a backhop or stuck defect on the aggressor
     /// participates — while the CFds trigger is the non-transition `w1`
     /// pulse itself (`prior && bit`). Victims are corrupted behind the
     /// host's back: the truth mirror is not updated.
-    fn apply_coupling(
-        &mut self,
-        addr: Address,
-        index: usize,
-        bit: bool,
-        prior: bool,
-        faults: &FaultPlan,
-    ) {
-        let word = index / WORD_BITS;
-        let position = index % WORD_BITS;
-        let stored = self.array.read_state(addr).bit();
-        let mut forced: Vec<(usize, bool)> = Vec::new();
+    fn apply_coupling(&mut self, cell: usize, bit: bool, prior: bool, faults: &FaultPlan) {
+        let word = cell / WORD_BITS;
+        let position = cell % WORD_BITS;
+        let stored = self.store.bit(cell);
+        let mut any_forced = false;
         for fault in faults.coupling_faults_of(self.index) {
             if fault.word != word || fault.aggressor_bit != position {
                 continue;
@@ -631,21 +560,19 @@ impl Bank {
             if victim >= self.truth.len() {
                 continue;
             }
-            match fault.kind {
+            let forced = match fault.kind {
                 CouplingKind::State {
                     aggressor_value,
                     victim_value,
-                } if stored == aggressor_value => forced.push((victim, victim_value)),
-                CouplingKind::Disturb { victim_value } if bit && prior => {
-                    forced.push((victim, victim_value));
-                }
-                _ => {}
+                } if stored == aggressor_value => Some(victim_value),
+                CouplingKind::Disturb { victim_value } if bit && prior => Some(victim_value),
+                _ => None,
+            };
+            if let Some(value) = forced {
+                self.store.set(victim, value);
+                self.telemetry.coupling_triggers += 1;
+                any_forced = true;
             }
-        }
-        let any_forced = !forced.is_empty();
-        for (victim, value) in forced {
-            self.array.write_bit(self.addr_of(victim), value);
-            self.telemetry.coupling_triggers += 1;
         }
         if any_forced {
             // A stuck victim stays stuck: the defect dominates the coupling.
@@ -679,87 +606,51 @@ impl Bank {
         self.maybe_apply_drift();
         let (word, wrapped) = self.ecc.as_mut().expect("checked above").cursor.advance();
         let span = self.word_span(word);
-        self.apply_retention(span.clone(), faults, Stream::Scrub);
-        let (received, max_attempts, _, _) = self.sense_word(span.clone(), Stream::Scrub);
-        if self.scheme.is_destructive() {
-            self.snap_stuck_cells();
-        }
-        self.apply_read_disturb(span.clone(), faults, Stream::Scrub);
-        if faults.has_soft_errors() {
-            self.snap_stuck_cells();
-        }
+        let (received, max_attempts, _, _) = self.sense_span(span.clone(), faults, Stream::Scrub);
         let mut latency = self.read_cost.latency() * f64::from(max_attempts);
         let mut energy = self.read_cost.energy() * f64::from(max_attempts);
 
         let check = self.ecc.as_ref().expect("checked above").check[word];
         let decoded = codec::decode(received, check);
-        let mut corrected = false;
-        let mut uncorrectable = false;
-        let mut rewritten = 0u32;
-        match decoded.kind {
-            DecodeKind::Clean => {}
+        // The word every cell of the span is repaired towards: the decoded
+        // word for a correctable error, the host's copy for an
+        // uncorrectable one (the check sidecar already holds encode(truth),
+        // so the word re-reads clean afterwards).
+        let target = match decoded.kind {
+            DecodeKind::Clean => None,
             DecodeKind::Uncorrectable => {
-                uncorrectable = true;
                 self.telemetry.ecc.scrub_ue_found += 1;
                 self.telemetry.ecc.log_event(word, EccEventKind::ScrubUe);
-                // Host-assisted reconstruction: restore every cell that
-                // disagrees with the host's copy. The check sidecar already
-                // holds encode(truth), so the word re-reads clean afterwards.
-                let truth = truth_word(&self.truth, word);
-                for k in 0..span.len() {
-                    let addr = self.addr_of(span.start + k);
-                    let target = (truth >> k) & 1 == 1;
-                    if self.array.read_state(addr).bit() != target {
-                        let pulses = self
-                            .array
-                            .write_bit_verified(
-                                addr,
-                                target,
-                                MAX_WRITE_ATTEMPTS,
-                                &mut self.scrub_rng,
-                            )
-                            .unwrap_or(MAX_WRITE_ATTEMPTS);
-                        latency += self.write_cost.latency() * f64::from(pulses);
-                        energy += self.write_cost.energy() * f64::from(pulses);
-                        rewritten += 1;
-                    }
-                }
-                if rewritten > 0 {
-                    self.snap_stuck_cells();
-                }
-                self.telemetry.ecc.scrub_cells_rewritten += u64::from(rewritten);
+                Some(self.truth.word(word))
             }
             _ => {
-                corrected = true;
                 self.telemetry.ecc.scrub_ce_corrected += 1;
                 self.telemetry.ecc.log_event(word, EccEventKind::ScrubCe);
-                // Repair: rewrite cells whose *stored* state disagrees with
-                // the corrected word. A transient mis-sense decodes to the
-                // stored state itself, so nothing is rewritten (and no RNG
-                // is drawn) — scrub stays a no-op on a healthy array.
-                for k in 0..span.len() {
-                    let addr = self.addr_of(span.start + k);
-                    let target = (decoded.data >> k) & 1 == 1;
-                    if self.array.read_state(addr).bit() != target {
-                        let pulses = self
-                            .array
-                            .write_bit_verified(
-                                addr,
-                                target,
-                                MAX_WRITE_ATTEMPTS,
-                                &mut self.scrub_rng,
-                            )
-                            .unwrap_or(MAX_WRITE_ATTEMPTS);
-                        latency += self.write_cost.latency() * f64::from(pulses);
-                        energy += self.write_cost.energy() * f64::from(pulses);
-                        rewritten += 1;
-                    }
-                }
-                if rewritten > 0 {
-                    self.snap_stuck_cells();
-                }
-                self.telemetry.ecc.scrub_cells_rewritten += u64::from(rewritten);
+                Some(decoded.data)
             }
+        };
+        let mut rewritten = 0u32;
+        if let Some(target) = target {
+            // Rewrite only cells whose *stored* state disagrees with the
+            // target. A transient mis-sense decodes to the stored state
+            // itself, so nothing is rewritten (and no RNG is drawn) —
+            // scrub stays a no-op on a healthy array.
+            for (k, cell) in span.clone().enumerate() {
+                let bit = (target >> k) & 1 == 1;
+                if self.store.bit(cell) != bit {
+                    let pulses = self
+                        .store
+                        .write_verified(cell, bit, MAX_WRITE_ATTEMPTS, &mut self.streams.scrub)
+                        .unwrap_or(MAX_WRITE_ATTEMPTS);
+                    latency += self.write_cost.latency() * f64::from(pulses);
+                    energy += self.write_cost.energy() * f64::from(pulses);
+                    rewritten += 1;
+                }
+            }
+            if rewritten > 0 {
+                self.snap_stuck_cells();
+            }
+            self.telemetry.ecc.scrub_cells_rewritten += u64::from(rewritten);
         }
         self.telemetry.ecc.scrub_words_scanned += 1;
         if wrapped {
@@ -773,20 +664,19 @@ impl Bank {
         self.telemetry.energy += energy;
         Some(ScrubOutcome {
             word,
-            corrected,
-            uncorrectable,
+            corrected: target.is_some() && decoded.kind != DecodeKind::Uncorrectable,
+            uncorrectable: decoded.kind == DecodeKind::Uncorrectable,
             cells_rewritten: rewritten,
             completed_pass: wrapped,
         })
     }
 
     /// Advances dynamic drift to the bank's current busy-time temperature /
-    /// age point. Quantised by [`DriftPlan`]'s step so the array is only
-    /// rebuilt when the operating point actually moves; the rebuild swaps
-    /// each cell's device for its drifted baseline (preserving stored state
-    /// and the sampled transistor) and draws **no** RNG — exactly the
-    /// pinhole-swap pattern — so every stream stays bit-identical across
-    /// serial, parallel and frontend dispatch.
+    /// age point. Quantised by [`DriftPlan`]'s step so the margin column is
+    /// only recomputed when the operating point actually moves; the
+    /// recompute keeps every stored bit and draws **no** RNG, so every
+    /// stream stays bit-identical across serial, parallel and frontend
+    /// dispatch.
     fn maybe_apply_drift(&mut self) {
         let busy = self.busy_now_ns();
         let Some(state) = self.drift.as_mut() else {
@@ -797,15 +687,7 @@ impl Bank {
             return;
         }
         state.key = Some(key);
-        let cols = self.array.cols();
-        for (cell, base) in state.baseline.iter().enumerate() {
-            let addr = Address::new(cell / cols, cell % cols);
-            let spec = state.plan.drifted_spec(base, key);
-            let prior = self.array.cell(addr).state();
-            let transistor = *self.array.cell(addr).transistor();
-            *self.array.cell_mut(addr) = Cell::new(spec.into_device(), transistor);
-            self.array.cell_mut(addr).set_state(prior);
-        }
+        self.store.rebuild(&self.scheme, Some((&state.plan, key)));
     }
 
     /// Inline calibration daemon: once per
@@ -856,11 +738,11 @@ impl Bank {
     fn calibration_burst(&mut self, calib: CalibConfig) {
         self.telemetry.calib.bursts += 1;
         self.telemetry.calib.burst_reads += u64::from(calib.burst_reads);
-        let scheme = self.scheme;
         let cells = self.truth.len();
         for k in 0..calib.burst_reads as usize {
-            let addr = self.addr_of(k % cells);
-            let _ = scheme.sense_readonly(&self.array, addr, &mut self.calib_rng);
+            let _ = self
+                .store
+                .sense_readonly(&self.scheme, k % cells, &mut self.streams.calib);
         }
         self.telemetry.calib.busy_time += self.read_cost.latency() * f64::from(calib.burst_reads);
         self.telemetry.energy += self.read_cost.energy() * f64::from(calib.burst_reads);
@@ -869,9 +751,10 @@ impl Bank {
 
     /// Re-runs the paper's Eq. 5/10 β optimiser against the *drifted*
     /// nominal device (nominal recipe pushed through the current drift key)
-    /// and swaps the new operating point into this bank's read path. Read
-    /// timing is deliberately left at the design-time cost: the SA's clamp
-    /// and integration windows are hardware, only the current ratio β moves.
+    /// and swaps the new operating point into this bank's read path,
+    /// recomputing the margin column if the scheme moved. Read timing is
+    /// deliberately left at the design-time cost: the SA's clamp and
+    /// integration windows are hardware, only the current ratio β moves.
     fn refit(&mut self) {
         let spec = match &self.drift {
             Some(state) => {
@@ -884,7 +767,18 @@ impl Bank {
         };
         let cell = Cell::new(spec.into_device(), self.nominal_transistor);
         let design = DesignPoint::date2010(&cell);
-        self.scheme = Scheme::for_kind(self.scheme.kind(), &design);
+        let scheme = Scheme::for_kind(self.scheme.kind(), &design);
+        // Without drift the refit lands on the design-time scheme again,
+        // so only a drifting bank (which keeps the variation sidecar) ever
+        // recomputes its column here.
+        if scheme != self.scheme {
+            let drift = self
+                .drift
+                .as_ref()
+                .and_then(|state| Some((&state.plan, state.key?)));
+            self.store.rebuild(&scheme, drift);
+            self.scheme = scheme;
+        }
         self.telemetry.calib.refits += 1;
         self.telemetry.calib.last_beta = match self.scheme.kind() {
             SchemeKind::Conventional => 0.0,
@@ -893,33 +787,44 @@ impl Bank {
         };
     }
 
-    /// Senses every cell of `span` once through the retry policy, on the
-    /// requesting stream's RNG. Returns the received word (bit `k` = cell
-    /// `span.start + k`), the largest per-cell attempt count, the total
-    /// attempts, and whether any cell fell back unconfidently.
-    fn sense_word(&mut self, span: Range<usize>, stream: Stream) -> (u64, u32, u64, bool) {
+    /// One read of every cell of `span` on `stream`, with the soft-error
+    /// hooks around it: retention decay first, then each cell sensed once
+    /// through the retry policy, then read disturb, with stuck cells
+    /// re-pinned after any step that may have pulsed them. Returns the
+    /// received word (bit `k` = cell `span.start + k`), the largest
+    /// per-cell attempt count, the total attempts, and whether any cell
+    /// fell back unconfidently.
+    fn sense_span(
+        &mut self,
+        span: Range<usize>,
+        faults: &FaultPlan,
+        stream: Stream,
+    ) -> (u64, u32, u64, bool) {
+        self.apply_retention(span.clone(), faults, stream);
         let scheme = self.scheme;
         let retry = self.retry;
-        let cols = self.array.cols();
+        let store = &mut self.store;
+        let rng = self.streams.sense(stream);
         let mut received = 0u64;
         let mut max_attempts = 1u32;
         let mut total_attempts = 0u64;
         let mut any_unconfident = false;
-        for (k, cell) in span.enumerate() {
-            let addr = Address::new(cell / cols, cell % cols);
-            let array = &mut self.array;
-            let rng = match stream {
-                Stream::Demand => &mut self.rng,
-                Stream::Scrub => &mut self.scrub_rng,
-                Stream::March => &mut self.march_rng,
-            };
-            let resolution = retry.resolve(|| scheme.sense_once(array, addr, rng));
+        for (k, cell) in span.clone().enumerate() {
+            let resolution = retry.resolve(|| store.sense(&scheme, cell, rng));
             max_attempts = max_attempts.max(resolution.attempts);
             total_attempts += u64::from(resolution.attempts);
             any_unconfident |= !resolution.confident;
             if resolution.bit {
                 received |= 1u64 << k;
             }
+        }
+        if scheme.is_destructive() {
+            // The erase/write-back pulses may have hit a stuck cell.
+            self.snap_stuck_cells();
+        }
+        self.apply_read_disturb(span, faults, stream);
+        if faults.has_soft_errors() {
+            self.snap_stuck_cells();
         }
         (received, max_attempts, total_attempts, any_unconfident)
     }
@@ -928,27 +833,29 @@ impl Bank {
     /// flips with the exponential-hazard probability of its idle span on
     /// the bank's busy-time clock, then has its clock reset. Draws nothing
     /// when retention faults are off.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `faults` enables retention but the bank was built from a
+    /// plan without it (so it keeps no retention clock).
     fn apply_retention(&mut self, span: Range<usize>, faults: &FaultPlan, stream: Stream) {
         if faults.retention_rate_per_ns.is_none() {
             return;
         }
         let now_ns = self.busy_now_ns();
-        let cols = self.array.cols();
+        let clock = self
+            .last_touch_ns
+            .as_mut()
+            .expect("retention faults need a bank built with a retention plan");
+        let rng = self.streams.fault(stream);
         for cell in span {
-            let p = faults.retention_flip_prob(now_ns - self.last_touch_ns[cell]);
-            self.last_touch_ns[cell] = now_ns;
+            let p = faults.retention_flip_prob(now_ns - clock[cell]);
+            clock[cell] = now_ns;
             if p <= 0.0 {
                 continue;
             }
-            let rng = match stream {
-                Stream::Demand => &mut self.fault_rng,
-                Stream::Scrub => &mut self.scrub_rng,
-                Stream::March => &mut self.march_rng,
-            };
             if rng.gen_bool(p) {
-                let addr = Address::new(cell / cols, cell % cols);
-                let stored = self.array.read_state(addr).bit();
-                self.array.write_bit(addr, !stored);
+                self.store.flip(cell);
                 self.telemetry.retention_flips += 1;
             }
         }
@@ -960,17 +867,10 @@ impl Bank {
         let Some(p) = faults.read_disturb_prob else {
             return;
         };
-        let cols = self.array.cols();
+        let rng = self.streams.fault(stream);
         for cell in span {
-            let rng = match stream {
-                Stream::Demand => &mut self.fault_rng,
-                Stream::Scrub => &mut self.scrub_rng,
-                Stream::March => &mut self.march_rng,
-            };
             if rng.gen_bool(p) {
-                let addr = Address::new(cell / cols, cell % cols);
-                let stored = self.array.read_state(addr).bit();
-                self.array.write_bit(addr, !stored);
+                self.store.flip(cell);
                 self.telemetry.read_disturb_flips += 1;
             }
         }
@@ -981,37 +881,35 @@ impl Bank {
     /// replay.
     #[must_use]
     pub fn stored_bits(&self) -> Vec<bool> {
-        self.array
-            .addresses()
-            .map(|addr| self.array.read_state(addr).bit())
-            .collect()
+        self.store.state().to_bools()
     }
 
     /// Integrity audit: cells whose stored state disagrees with the host's
     /// truth mirror right now.
     #[must_use]
     pub fn audit_corrupted_bits(&self) -> u64 {
-        self.array
-            .addresses()
-            .filter(|&addr| self.array.read_state(addr).bit() != self.truth[self.truth_index(addr)])
-            .count() as u64
+        self.store.state().count_differences(&self.truth)
     }
 
     /// Re-pins every stuck cell to its defect value (a stuck MTJ "accepts"
     /// the pulse, then relaxes straight back).
     fn snap_stuck_cells(&mut self) {
-        for &(addr, value) in &self.stuck {
-            self.array.write_bit(addr, value);
+        for &(cell, value) in &self.stuck {
+            self.store.set(cell, value);
         }
     }
 
-    fn truth_index(&self, addr: Address) -> usize {
-        addr.row * self.array.cols() + addr.col
+    /// The row-major cell index of `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is outside the bank.
+    fn cell_of(&self, addr: Address) -> usize {
+        cell_index(self.rows, self.cols, addr)
     }
 
     fn addr_of(&self, cell: usize) -> Address {
-        let cols = self.array.cols();
-        Address::new(cell / cols, cell % cols)
+        Address::new(cell / self.cols, cell % self.cols)
     }
 
     /// The cell range of ECC word `word` (the last word may be partial; its
@@ -1024,19 +922,24 @@ impl Bank {
     fn busy_now_ns(&self) -> f64 {
         self.telemetry.busy_time.get() * 1e9
     }
+
+    #[cfg(test)]
+    fn stored_bit(&self, addr: Address) -> bool {
+        self.store.bit(self.cell_of(addr))
+    }
 }
 
-/// The host-truth contents of ECC word `word` (bit `k` = cell
-/// `word * 64 + k`; cells past the end of the bank read as zero).
-fn truth_word(truth: &[bool], word: usize) -> u64 {
-    let start = word * WORD_BITS;
-    let mut bits = 0u64;
-    for k in 0..WORD_BITS {
-        if truth.get(start + k).copied().unwrap_or(false) {
-            bits |= 1u64 << k;
-        }
-    }
-    bits
+/// The row-major index of `addr` in a `rows × cols` bank.
+///
+/// # Panics
+///
+/// Panics if `addr` is out of range.
+fn cell_index(rows: usize, cols: usize, addr: Address) -> usize {
+    assert!(
+        addr.row < rows && addr.col < cols,
+        "address {addr} out of range ({rows} × {cols})"
+    );
+    addr.row * cols + addr.col
 }
 
 /// Latency/energy of one programming pulse (decode + pulse + driver
@@ -1224,8 +1127,8 @@ mod tests {
         // Corrupt one stored cell behind the host's back (as a power cut or
         // retention flip would).
         let victim = Address::new(5, 5);
-        let stored = bank.array.read_state(victim).bit();
-        bank.array.write_bit(victim, !stored);
+        let cell = bank.cell_of(victim);
+        bank.store.flip(cell);
         assert_eq!(bank.audit_corrupted_bits(), 1);
         let outcome = bank.scrub_next(&faults).expect("ECC bank must scrub");
         assert!(outcome.corrected, "{outcome:?}");
@@ -1320,15 +1223,12 @@ mod tests {
         // Falling writes are healthy (the fault is rising-only)...
         bank.execute(&Transaction::write(0, addr, false), &faults);
         assert_eq!(bank.telemetry().write_transition_faults, 0);
-        assert!(!bank.array.read_state(addr).bit());
+        assert!(!bank.stored_bit(addr));
         // ...but the 0→1 transition is silently lost: one pulse charged,
         // the array unchanged, the truth mirror fooled.
         bank.execute(&Transaction::write(0, addr, true), &faults);
         assert_eq!(bank.telemetry().write_transition_faults, 1);
-        assert!(
-            !bank.array.read_state(addr).bit(),
-            "the write must not land"
-        );
+        assert!(!bank.stored_bit(addr), "the write must not land");
         bank.execute(&Transaction::read(0, addr), &faults);
         assert_eq!(bank.telemetry().misreads, 1, "the host sees stale data");
         assert!(bank.audit_corrupted_bits() >= 1);
@@ -1342,7 +1242,7 @@ mod tests {
         bank.execute(&Transaction::write(0, addr, true), &faults);
         assert_eq!(bank.telemetry().backhop_flips, 1);
         assert!(
-            !bank.array.read_state(addr).bit(),
+            !bank.stored_bit(addr),
             "a p=1 backhop must undo every completed write"
         );
         assert!(bank.audit_corrupted_bits() >= 1);
@@ -1370,7 +1270,7 @@ mod tests {
         bank.execute(&Transaction::write(0, aggressor, true), &faults);
         assert_eq!(bank.telemetry().coupling_triggers, triggers_before + 1);
         assert!(
-            bank.array.read_state(victim).bit(),
+            bank.stored_bit(victim),
             "the victim must be forced to the coupled value"
         );
         assert!(bank.audit_corrupted_bits() >= 1, "the host never wrote it");
@@ -1393,11 +1293,11 @@ mod tests {
         // The transition write 0→1 does not sensitise CFds...
         bank.execute(&Transaction::write(0, aggressor, true), &faults);
         assert_eq!(bank.telemetry().coupling_triggers, 0);
-        assert!(!bank.array.read_state(victim).bit());
+        assert!(!bank.stored_bit(victim));
         // ...the non-transition w1 does.
         bank.execute(&Transaction::write(0, aggressor, true), &faults);
         assert_eq!(bank.telemetry().coupling_triggers, 1);
-        assert!(bank.array.read_state(victim).bit());
+        assert!(bank.stored_bit(victim));
     }
 
     #[test]
@@ -1591,5 +1491,171 @@ mod tests {
         assert_eq!(march.fail_log[0].element, 1);
         assert!(!march.fail_log[0].got);
         assert!(march.busy_time.get() > 0.0);
+    }
+
+    /// The reference a bank's store must match: the pre-store bank state,
+    /// built from a full `Array` exactly as banks used to build it.
+    mod store_reference {
+        use super::*;
+        use crate::store::pinhole_spec;
+        use proptest::prelude::*;
+        use stt_array::Array;
+        use stt_mtj::ResistanceCurve;
+
+        /// Bank `index` of `config` as an `Array`: sampled on the bank's
+        /// seed, preloaded row-major, stuck cells snapped, pinholes
+        /// swapped in with their sampled transistor and preloaded state.
+        fn reference_array(config: &ControllerConfig, index: usize) -> Array {
+            let spec = &config.spec;
+            let mut rng = stt_stats::trial_rng(config.seed, index);
+            let mut array = spec.sample(&mut rng);
+            for row in 0..spec.rows {
+                for col in 0..spec.cols {
+                    let bit = rng.gen_bool(0.5);
+                    array.write_bit(Address::new(row, col), bit);
+                }
+            }
+            for cell in config.faults.stuck_cells_of(index) {
+                array.write_bit(cell.addr, cell.value);
+            }
+            for defect in config.faults.pinhole_cells_of(index) {
+                let prior = array.cell(defect.addr).state();
+                let transistor = *array.cell(defect.addr).transistor();
+                let device = pinhole_spec(&spec.cell.mtj).into_device();
+                *array.cell_mut(defect.addr) = Cell::new(device, transistor);
+                array.cell_mut(defect.addr).set_state(prior);
+            }
+            array
+        }
+
+        /// The undrifted spec of every reference cell, row-major.
+        fn baseline(array: &Array) -> Vec<MtjSpec> {
+            array
+                .addresses()
+                .map(|addr| {
+                    let device = array.cell(addr).device();
+                    let ResistanceCurve::Linear(rolloff) = device.curve() else {
+                        panic!("reference cells use the linear calibration")
+                    };
+                    MtjSpec {
+                        resistance: *rolloff,
+                        switching: *device.switching(),
+                    }
+                })
+                .collect()
+        }
+
+        /// Asserts the bank's margin column and switching probability
+        /// equal the reference cells' bit for bit, with every reference
+        /// device pushed through `drift`.
+        fn assert_store_matches(
+            bank: &Bank,
+            array: &Array,
+            base: &[MtjSpec],
+            drift: Option<(&DriftPlan, DriftKey)>,
+        ) -> Result<(), TestCaseError> {
+            let spec = array.spec();
+            for (cell, addr) in array.addresses().enumerate() {
+                let mtj = match drift {
+                    Some((plan, key)) => plan.drifted_spec(&base[cell], key),
+                    None => base[cell].clone(),
+                };
+                let reference = Cell::new(mtj.into_device(), *array.cell(addr).transistor());
+                let expected = bank.scheme.margins(&reference);
+                let got = bank.store.margins()[cell];
+                prop_assert!(
+                    got.margin0.get().to_bits() == expected.margin0.get().to_bits()
+                        && got.margin1.get().to_bits() == expected.margin1.get().to_bits(),
+                    "cell {cell} margins {got:?} != reference {expected:?}"
+                );
+                let p_switch = reference
+                    .device()
+                    .switching()
+                    .switching_probability(spec.write_current, spec.write_pulse)
+                    .clamp(0.0, 1.0);
+                prop_assert_eq!(bank.store.p_switch().to_bits(), p_switch.to_bits());
+            }
+            Ok(())
+        }
+
+        use proptest::test_runner::TestCaseError;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+            #[test]
+            fn prop_store_equals_reference_array(
+                seed in 0u64..1_000_000,
+                kind in 0usize..3,
+                index in 0usize..2,
+                stuck in 0usize..64,
+                pinhole in 0usize..64,
+                drifting in 0usize..2,
+                amplitude_k in 20.0f64..80.0,
+                write_ua in 470.0f64..620.0,
+            ) {
+                let kind = SchemeKind::ALL[kind];
+                let at = |cell: usize| Address::new(cell / 8, cell % 8);
+                let faults = FaultPlan::none()
+                    .with_stuck_cell(index, at(stuck), stuck % 2 == 0)
+                    .with_pinhole(index, at(pinhole));
+                let plan = DriftPlan::quiet()
+                    .with_transient(ThermalTransient {
+                        bank: index,
+                        start_ns: 50.0,
+                        ramp_ns: 600.0,
+                        hold_ns: 1e12,
+                        fall_ns: 0.0,
+                        amplitude_k,
+                    })
+                    .with_aging_rate(2e-5);
+                let mut config = ControllerConfig::small(kind, 2)
+                    .with_seed(seed)
+                    .with_faults(faults.clone());
+                // Below ~500 µA a pulse switches with p < 1, and heating
+                // moves p: the switching model drifts with the margins.
+                config.spec.write_current = stt_units::Amps::from_micro(write_ua);
+                if drifting == 1 {
+                    config = config.with_drift(plan.clone());
+                }
+                let mut bank = Bank::new(index, &config);
+                let array = reference_array(&config, index);
+                let base = baseline(&array);
+                let states: Vec<bool> =
+                    array.addresses().map(|addr| array.read_state(addr).bit()).collect();
+                prop_assert_eq!(bank.stored_bits(), states);
+                assert_store_matches(&bank, &array, &base, None)?;
+
+                // Drive the busy clock through the ramp: every access that
+                // moves the drift key recomputes the column.
+                let mut keys = Vec::new();
+                for k in 0..96 {
+                    let addr = at((7 * k) % 64);
+                    let txn = if k % 4 == 0 {
+                        Transaction::write(0, addr, k % 8 == 0)
+                    } else {
+                        Transaction::read(0, addr)
+                    };
+                    bank.execute(&txn, &faults);
+                    let key = bank.drift.as_ref().and_then(|state| state.key);
+                    if key.is_some() && keys.last() != Some(&key) {
+                        keys.push(key);
+                        assert_store_matches(&bank, &array, &base, key.map(|key| (&plan, key)))?;
+                    }
+                }
+
+                // A β refit at the current key moves the scheme under drift
+                // (and must land on the design-time scheme without it).
+                let before = bank.scheme;
+                bank.refit();
+                let key = bank.drift.as_ref().and_then(|state| state.key);
+                if drifting == 1 {
+                    prop_assert!(keys.len() >= 4, "only {} drift keys", keys.len());
+                    prop_assert!(kind == SchemeKind::Conventional || bank.scheme != before);
+                } else {
+                    prop_assert!(bank.scheme == before);
+                }
+                assert_store_matches(&bank, &array, &base, key.map(|key| (&plan, key)))?;
+            }
+        }
     }
 }

@@ -231,7 +231,7 @@ impl Controller {
                         });
                     }
                 })
-                .expect("a bank worker panicked");
+                .unwrap_or_else(stt_stats::resume_panic);
             }
         }
         self.telemetry()

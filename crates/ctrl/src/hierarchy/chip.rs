@@ -516,7 +516,7 @@ impl Chip {
                         });
                     }
                 })
-                .expect("a channel worker panicked");
+                .unwrap_or_else(stt_stats::resume_panic);
             }
         }
         ChipRun {

@@ -14,7 +14,7 @@
 //! * [`sense`] — run-time scheme dispatch over the three read paths.
 //! * [`retry`] — guard-band read-retry with a mean-sign fallback.
 //! * [`faults`] — traffic-driven power cuts and stuck-at defects.
-//! * [`bank`] — one bank: array + truth mirror + RNG + telemetry.
+//! * [`bank`] — one bank: cell store + truth mirror + RNG + telemetry.
 //! * [`engine`] — the [`Controller`]: partition a trace per bank, serve it
 //!   serially or on one scoped thread per bank, bit-identically.
 //! * [`reliability`] — the (72,64) SECDED codec, background-scrub plumbing,
@@ -76,6 +76,7 @@ pub mod reliability;
 pub mod retry;
 pub mod sched;
 pub mod sense;
+mod store;
 pub mod telemetry;
 pub mod txn;
 pub mod workload;

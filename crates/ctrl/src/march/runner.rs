@@ -78,7 +78,7 @@ pub fn run_march_with(
                     });
                 }
             })
-            .expect("a March worker panicked");
+            .unwrap_or_else(stt_stats::resume_panic);
         }
     }
     controller.telemetry()

@@ -2,17 +2,19 @@
 //!
 //! The sensing crate exposes the three schemes as distinct types behind the
 //! [`SenseScheme`] trait; a controller picks one per configuration at run
-//! time, so this module wraps them in an enum and exposes the one operation
-//! the engine needs: *sense this cell once, mutating the array exactly as
-//! the scheme's hardware sequence would*.
+//! time, so this module wraps them in an enum around one sense kernel,
+//! [`Scheme::sense`]: *margins, stored bit and an RNG in, one comparator
+//! decision out*. Banks feed it from their precomputed margin column;
+//! [`Scheme::sense_once`] and [`Scheme::sense_readonly`] feed it from a
+//! full [`Array`] cell, running the destructive erase/write-back on the
+//! array.
 
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use stt_array::{Address, Array};
-use stt_mtj::ResistanceState;
+use stt_array::{Address, Array, Cell};
 use stt_sense::{
     ConventionalScheme, DesignPoint, DestructiveScheme, NondestructiveScheme, SchemeKind,
-    SenseScheme,
+    SenseAmplifier, SenseMargins, SenseScheme,
 };
 use stt_units::Volts;
 
@@ -82,14 +84,54 @@ impl Scheme {
         matches!(self, Scheme::Destructive(_))
     }
 
+    /// The sense amplifier in this scheme's path.
+    fn amplifier(&self) -> &SenseAmplifier {
+        match self {
+            Scheme::Conventional(s) => s.amplifier(),
+            Scheme::Destructive(s) => s.amplifier(),
+            Scheme::Nondestructive(s) => s.amplifier(),
+        }
+    }
+
     /// The usable threshold of the scheme's sense amplifier — the natural
     /// guard band for a retry policy in this scheme's read path.
     #[must_use]
     pub fn amplifier_threshold(&self) -> Volts {
+        self.amplifier().usable_threshold()
+    }
+
+    /// The scheme's analytic margins for `cell` — Eqs. (8)/(9) for the
+    /// nondestructive scheme. They depend on the device and transistor,
+    /// never on the stored state, so a bank evaluates them once per cell.
+    #[must_use]
+    pub fn margins(&self, cell: &Cell) -> SenseMargins {
         match self {
-            Scheme::Conventional(s) => s.amplifier().usable_threshold(),
-            Scheme::Destructive(s) => s.amplifier().usable_threshold(),
-            Scheme::Nondestructive(s) => s.amplifier().usable_threshold(),
+            Scheme::Conventional(s) => s.margins(cell),
+            Scheme::Destructive(s) => s.margins(cell),
+            Scheme::Nondestructive(s) => s.margins(cell),
+        }
+    }
+
+    /// The sense kernel every read path shares: the settled differential
+    /// of a cell with `margins` storing `stored`, plus a freshly sampled
+    /// amplifier offset. Touches no cell state.
+    ///
+    /// This mirrors [`SenseScheme::read`] but keeps the offset visible in
+    /// `observed`, because the retry policy needs the comparator's actual
+    /// input, not just the sign it latched.
+    pub fn sense(&self, margins: &SenseMargins, stored: bool, rng: &mut StdRng) -> Sensed {
+        let differential = if stored {
+            margins.margin1
+        } else {
+            -margins.margin0
+        };
+        let amplifier = self.amplifier();
+        let offset = amplifier.sample_offset(rng);
+        let bit = amplifier.resolve(differential, offset);
+        Sensed {
+            bit,
+            observed: differential + offset,
+            correct: bit == stored,
         }
     }
 
@@ -105,62 +147,23 @@ impl Scheme {
     ///
     /// Panics if the address is out of range.
     pub fn sense_once(&self, array: &mut Array, addr: Address, rng: &mut StdRng) -> Sensed {
-        match self {
-            Scheme::Conventional(s) => sense_analytic(s, array, addr, rng),
-            Scheme::Nondestructive(s) => sense_analytic(s, array, addr, rng),
-            Scheme::Destructive(s) => {
-                let sensed = sense_analytic(s, array, addr, rng);
-                array.write_bit_pulsed(addr, false, rng);
-                array.write_bit_pulsed(addr, sensed.bit, rng);
-                sensed
-            }
+        let sensed = self.sense_readonly(array, addr, rng);
+        if self.is_destructive() {
+            array.write_bit_pulsed(addr, false, rng);
+            array.write_bit_pulsed(addr, sensed.bit, rng);
         }
+        sensed
     }
 
     /// The sense step alone, with no state mutation even for the
     /// destructive scheme.
     ///
-    /// The fault injector needs this to build the destructive sequence as
-    /// *separate* interruptible steps (sense, erase, write back) for
-    /// [`stt_array::run_with_power_failure`].
-    ///
     /// # Panics
     ///
     /// Panics if the address is out of range.
     pub fn sense_readonly(&self, array: &Array, addr: Address, rng: &mut StdRng) -> Sensed {
-        match self {
-            Scheme::Conventional(s) => sense_analytic(s, array, addr, rng),
-            Scheme::Nondestructive(s) => sense_analytic(s, array, addr, rng),
-            Scheme::Destructive(s) => sense_analytic(s, array, addr, rng),
-        }
-    }
-}
-
-/// The analytic sense shared by every scheme: settled differential from the
-/// scheme's margins, plus a freshly sampled amplifier offset.
-///
-/// This mirrors [`SenseScheme::read`] but keeps the offset visible in
-/// `observed`, because the retry policy needs the comparator's actual input,
-/// not just the sign it latched.
-fn sense_analytic<S: SenseScheme>(
-    scheme: &S,
-    array: &Array,
-    addr: Address,
-    rng: &mut StdRng,
-) -> Sensed {
-    let cell = array.cell(addr);
-    let margins = scheme.margins(cell);
-    let stored = cell.state();
-    let differential = match stored {
-        ResistanceState::AntiParallel => margins.margin1,
-        ResistanceState::Parallel => -margins.margin0,
-    };
-    let offset = scheme.amplifier().sample_offset(rng);
-    let bit = scheme.amplifier().resolve(differential, offset);
-    Sensed {
-        bit,
-        observed: differential + offset,
-        correct: bit == stored.bit(),
+        let cell = array.cell(addr);
+        self.sense(&self.margins(cell), cell.state().bit(), rng)
     }
 }
 

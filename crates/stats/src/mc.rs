@@ -72,11 +72,28 @@ where
             });
         }
     })
-    .expect("scoped worker panicked");
+    .unwrap_or_else(resume_panic);
     results
         .into_iter()
         .map(|slot| slot.expect("every slot filled"))
         .collect()
+}
+
+/// Re-raises a scoped worker's panic with its original payload.
+///
+/// `crossbeam::scope` hands a panicking worker's payload back as `Err`;
+/// unwrapping that with `.expect(..)` would replace the worker's message
+/// with an opaque `Any { .. }`. Resuming the unwind keeps the message (and
+/// `#[should_panic(expected = ..)]` matching) exactly as on one thread:
+///
+/// ```
+/// let result = crossbeam::scope(|scope| {
+///     scope.spawn(|_| 2 + 2);
+/// });
+/// result.unwrap_or_else(stt_stats::resume_panic);
+/// ```
+pub fn resume_panic<T>(payload: Box<dyn std::any::Any + Send + 'static>) -> T {
+    std::panic::resume_unwind(payload)
 }
 
 /// Runs `count` trials in batches of up to `batch` at a time, in parallel

@@ -27,6 +27,13 @@ cargo test -q -p stt-ctrl --test integration_reliability
 echo "==> cargo test -q"
 cargo test -q
 
+# The end-to-end benchmark is its own cargo workspace, so the suite above
+# never builds it; its tests catch a break in any controller API the
+# benchmark drives (Bank::new, Scheme::sense_once, ...) before a benchmark
+# run does.
+echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Documentation gate over the repo's own crates (vendored stand-ins are
 # exempt — they mirror upstream APIs we don't own).
 echo "==> cargo doc --no-deps (warnings denied)"
