@@ -807,7 +807,8 @@ impl Frontend {
 
         let allocs_before = alloc_probe::count();
         while let Some((now, event)) = events.pop() {
-            match event {
+            // The bank whose lane this event frees (any completion flavour).
+            let freed = match event {
                 Event::Arrive { trace_index, fresh } => {
                     end_ns = end_ns.max(now);
                     let txn = trace.get(trace_index);
@@ -867,6 +868,7 @@ impl Frontend {
                     if advance_stream {
                         schedule_fresh(&mut events, &order, trace, &mut cursor, now);
                     }
+                    None
                 }
                 Event::Complete { bank } => {
                     end_ns = end_ns.max(now);
@@ -885,40 +887,7 @@ impl Frontend {
                         start_ns: served.start_ns,
                         complete_ns: now,
                     });
-                    try_dispatch(lane, &mut banks[bank], &faults, &mut events, policy, now);
-                    wake_parked(lane, &mut events, backpressure, now);
-                    // Dispatch freed a slot (or the queue was empty): a
-                    // stalled admission targeting this bank can land now.
-                    if let Some(blocked) = stalled {
-                        let txn = trace.get(blocked.trace_index);
-                        if txn.bank == bank && !lane.queue.is_full() {
-                            stalled = None;
-                            lane.stats.stall_time_ns += now - blocked.offered_ns;
-                            if lane.in_service.is_none()
-                                && !lane.scrub_busy
-                                && !lane.march_busy
-                                && !lane.calib_busy
-                                && lane.queue.is_empty()
-                            {
-                                lane.stats.admitted += 1;
-                                let queued = Queued {
-                                    txn,
-                                    trace_index: blocked.trace_index,
-                                    arrival_ns: txn.arrival_ns as f64,
-                                    admit_ns: now,
-                                };
-                                let complete_ns =
-                                    start_service(lane, &mut banks[bank], &faults, queued, now);
-                                events.schedule(complete_ns, Event::Complete { bank });
-                            } else {
-                                admit(lane, txn, blocked.trace_index, now);
-                            }
-                            // The host unblocks: resume the arrival stream,
-                            // no earlier than now.
-                            schedule_fresh(&mut events, &order, trace, &mut cursor, now);
-                        }
-                    }
-                    kick_march(&mut march, &mut lanes[bank], &mut events, bank, now);
+                    Some(bank)
                 }
                 Event::Scrub { bank } => {
                     // The daemon dies with the demand and test streams: no
@@ -951,15 +920,14 @@ impl Frontend {
                         events.schedule(now + service_ns, Event::ScrubComplete { bank });
                     }
                     events.schedule(now + interval_ns, Event::Scrub { bank });
+                    None
                 }
                 Event::ScrubComplete { bank } => {
                     end_ns = end_ns.max(now);
                     let lane = &mut lanes[bank];
                     debug_assert!(lane.scrub_busy, "scrub completion without scrub");
                     lane.scrub_busy = false;
-                    try_dispatch(lane, &mut banks[bank], &faults, &mut events, policy, now);
-                    wake_parked(lane, &mut events, backpressure, now);
-                    kick_march(&mut march, &mut lanes[bank], &mut events, bank, now);
+                    Some(bank)
                 }
                 Event::March { bank } => {
                     march.kicked[bank] = false;
@@ -990,15 +958,14 @@ impl Frontend {
                     let service_ns = (served.telemetry().march.busy_time - busy_before).get() * 1e9;
                     lane.march_busy = true;
                     events.schedule(now + service_ns, Event::MarchComplete { bank });
+                    None
                 }
                 Event::MarchComplete { bank } => {
                     end_ns = end_ns.max(now);
                     let lane = &mut lanes[bank];
                     debug_assert!(lane.march_busy, "march completion without march op");
                     lane.march_busy = false;
-                    try_dispatch(lane, &mut banks[bank], &faults, &mut events, policy, now);
-                    wake_parked(lane, &mut events, backpressure, now);
-                    kick_march(&mut march, &mut lanes[bank], &mut events, bank, now);
+                    Some(bank)
                 }
                 Event::Calib { bank } => {
                     // Like the scrub daemon, the calibration daemon dies
@@ -1031,17 +998,57 @@ impl Frontend {
                         }
                     }
                     events.schedule(now + config.interval_ns, Event::Calib { bank });
+                    None
                 }
                 Event::CalibComplete { bank } => {
                     end_ns = end_ns.max(now);
                     let lane = &mut lanes[bank];
                     debug_assert!(lane.calib_busy, "calibration completion without a burst");
                     lane.calib_busy = false;
-                    try_dispatch(lane, &mut banks[bank], &faults, &mut events, policy, now);
-                    wake_parked(lane, &mut events, backpressure, now);
-                    kick_march(&mut march, &mut lanes[bank], &mut events, bank, now);
+                    Some(bank)
+                }
+            };
+            let Some(bank) = freed else {
+                continue;
+            };
+            // The lane went idle: dispatch, wake a parked retry, land a
+            // stalled admission, then offer the tester a turn — in that
+            // order, whichever class just released the lane.
+            let lane = &mut lanes[bank];
+            try_dispatch(lane, &mut banks[bank], &faults, &mut events, policy, now);
+            wake_parked(lane, &mut events, backpressure, now);
+            // Dispatch freed a slot (or the queue was empty): a stalled
+            // admission targeting this bank can land now.
+            if let Some(blocked) = stalled {
+                let txn = trace.get(blocked.trace_index);
+                if txn.bank == bank && !lane.queue.is_full() {
+                    stalled = None;
+                    lane.stats.stall_time_ns += now - blocked.offered_ns;
+                    if lane.in_service.is_none()
+                        && !lane.scrub_busy
+                        && !lane.march_busy
+                        && !lane.calib_busy
+                        && lane.queue.is_empty()
+                    {
+                        lane.stats.admitted += 1;
+                        let queued = Queued {
+                            txn,
+                            trace_index: blocked.trace_index,
+                            arrival_ns: txn.arrival_ns as f64,
+                            admit_ns: now,
+                        };
+                        let complete_ns =
+                            start_service(lane, &mut banks[bank], &faults, queued, now);
+                        events.schedule(complete_ns, Event::Complete { bank });
+                    } else {
+                        admit(lane, txn, blocked.trace_index, now);
+                    }
+                    // The host unblocks: resume the arrival stream, no
+                    // earlier than now.
+                    schedule_fresh(&mut events, &order, trace, &mut cursor, now);
                 }
             }
+            kick_march(&mut march, &mut lanes[bank], &mut events, bank, now);
         }
         let steady_state_allocs = alloc_probe::count() - allocs_before;
 
@@ -1697,6 +1704,41 @@ mod tests {
             aggregate.queue.scrub_deferred > 0,
             "back-to-back test ops leave scrub no gap"
         );
+    }
+
+    #[test]
+    fn a_march_completion_lands_a_stalled_admission() {
+        // One bank, depth 1: the first March op occupies the lane from t=0,
+        // trace[0] queues behind it at 1 ns and trace[1] stalls at 2 ns.
+        // The March op's completion dispatches trace[0], which frees the
+        // slot, so trace[1] must be admitted at that same instant — not one
+        // demand service time later.
+        let config = ControllerConfig::small(SchemeKind::Nondestructive, 1).with_seed(5);
+        let trace = Trace::from_transactions(vec![
+            Transaction::read(0, stt_array::Address::new(0, 0)).at(1),
+            Transaction::read(0, stt_array::Address::new(0, 1)).at(2),
+        ]);
+        let frontend_config = FrontendConfig::fcfs_unbounded()
+            .with_queue_depth(1)
+            .with_backpressure(Backpressure::Stall)
+            .with_march(MarchConfig::new(MarchAlgorithm::CMinus));
+        let run = Frontend::new(Controller::new(config), frontend_config).run(&trace);
+        let by_index = |index: usize| {
+            run.completions
+                .iter()
+                .find(|completion| completion.trace_index == index)
+                .expect("every offered transaction completes")
+        };
+        let (first, second) = (by_index(0), by_index(1));
+        let march_done_ns = first.start_ns;
+        assert!(
+            march_done_ns > 2.0,
+            "the March op must still hold the lane when trace[1] stalls"
+        );
+        assert_eq!(second.admit_ns, march_done_ns);
+        let queue = run.telemetry.aggregate().queue;
+        assert_eq!(queue.stalls, 1);
+        assert_eq!(queue.stall_time_ns, march_done_ns - 2.0);
     }
 
     #[test]
