@@ -18,13 +18,18 @@
 //!    drift on the busy clock plus the inline β-recalibration daemon stay
 //!    bit-identical across serial replay, parallel dispatch and the
 //!    frontend (checked as a proptest over transient shapes).
+//! 6. **Pinned behaviour** — the frontend with scrub, March and
+//!    calibration all mounted under stalling admission, and a serial
+//!    closed-loop chip run, reproduce recorded counters and timings
+//!    exactly (a refactor of the lane core must not move them).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stt_ctrl::{
-    Backpressure, CalibConfig, Controller, ControllerConfig, Dispatch, DriftPlan, EccMode,
-    FaultPlan, Frontend, FrontendConfig, Policy, QueueTelemetry, ScrubConfig, ThermalTransient,
+    Backpressure, CalibConfig, Chip, ChipConfig, ClosedLoopSource, Controller, ControllerConfig,
+    Dispatch, DriftPlan, EccMode, FaultPlan, Frontend, FrontendConfig, MarchAlgorithm, MarchConfig,
+    Policy, QueueTelemetry, SchedRun, ScrubConfig, ShardDispatch, ThermalTransient, Topology,
     Trace, Workload,
 };
 use stt_sense::SchemeKind;
@@ -349,4 +354,123 @@ proptest! {
         }
         prop_assert_eq!(scrubbed, serial);
     }
+}
+
+/// Two banks with ECC (the scrub daemon needs it) and a standing +60 K
+/// hot-spot on bank 0 (so the calibration daemon trips), offered
+/// read-mostly traffic at a load that keeps the depth-4 queues stalling
+/// while still leaving the background sources idle gaps.
+fn background_fixture() -> (ControllerConfig, Trace) {
+    let config = ControllerConfig::small(SchemeKind::Nondestructive, 2)
+        .with_seed(1313)
+        .with_ecc(EccMode::Secded)
+        .with_drift(DriftPlan::quiet().with_transient(ThermalTransient {
+            bank: 0,
+            start_ns: 0.0,
+            ramp_ns: 0.0,
+            hold_ns: 1e12,
+            fall_ns: 0.0,
+            amplitude_k: 60.0,
+        }));
+    let trace = timed_trace(&config, Workload::ReadMostly, 1_500, 40.0);
+    (config, trace)
+}
+
+/// Scrub, March C– and the calibration daemon, all mounted on `frontend`.
+fn with_every_source(frontend: FrontendConfig) -> FrontendConfig {
+    frontend
+        .with_scrub(ScrubConfig::every_ns(300.0))
+        .with_march(MarchConfig::new(MarchAlgorithm::CMinus))
+        .with_calib(CalibConfig::date2010())
+}
+
+fn per_bank_order(run: &SchedRun, bank: usize) -> Vec<usize> {
+    run.completions
+        .iter()
+        .filter(|completion| completion.bank == bank)
+        .map(|completion| completion.trace_index)
+        .collect()
+}
+
+/// Asserts `actual` is within 1e-6 ns of a pinned value.
+fn assert_pinned_ns(what: &str, actual: f64, pinned: f64) {
+    assert!(
+        (actual - pinned).abs() < 1e-6,
+        "{what}: {actual:?} moved from the pinned {pinned:?}"
+    );
+}
+
+/// Pinned regression: the frontend with every background source mounted
+/// under read-priority dispatch and stalling admission. The numbers are
+/// those of the single shared completion path (a scrub, March or
+/// calibration completion lands a stalled admission at once); any other
+/// movement means the scheduler's behaviour changed.
+#[test]
+fn every_background_source_under_stall_is_pinned() {
+    let (config, trace) = background_fixture();
+    let frontend = FrontendConfig::fcfs_unbounded()
+        .with_policy(Policy::ReadPriority {
+            write_high_water: 4,
+        })
+        .with_queue_depth(4)
+        .with_backpressure(Backpressure::Stall);
+    let run = Frontend::new(Controller::new(config), with_every_source(frontend)).run(&trace);
+    let aggregate = run.telemetry.aggregate();
+    let queue = &aggregate.queue;
+    assert_eq!(queue.completed, 1_500);
+    assert_eq!(queue.stalls, 157);
+    assert_eq!(queue.scrub_deferred, 361);
+    assert_eq!(queue.march_deferred, 664);
+    assert_eq!(queue.calib_deferred, 204);
+    assert_eq!(aggregate.march.ops, 1_280);
+    assert_eq!(aggregate.calib.trips, 43);
+    assert_eq!(aggregate.ecc.scrub_words_scanned, 53);
+    assert_pinned_ns("makespan", run.makespan_ns, 62_448.0);
+    assert_pinned_ns("stall time", queue.stall_time_ns, 8_426.0);
+}
+
+/// Background work delays demand but never displaces it: under FCFS with
+/// stalling admission each bank serves the same transactions in the same
+/// order with or without the three sources mounted.
+#[test]
+fn background_sources_keep_per_bank_demand_order() {
+    let (config, trace) = background_fixture();
+    let frontend = FrontendConfig::fcfs_unbounded()
+        .with_queue_depth(4)
+        .with_backpressure(Backpressure::Stall);
+    let plain = Frontend::new(Controller::new(config.clone()), frontend).run(&trace);
+    let mounted = Frontend::new(Controller::new(config), with_every_source(frontend)).run(&trace);
+    assert_eq!(mounted.completions.len(), trace.len());
+    for bank in 0..2 {
+        assert_eq!(
+            per_bank_order(&plain, bank),
+            per_bank_order(&mounted, bank),
+            "bank {bank}: background work must not reorder demand"
+        );
+    }
+}
+
+/// Pinned regression: a serial closed-loop chip run (the chip's channel
+/// loop serves through the same lane core as the frontend).
+#[test]
+fn serial_closed_loop_chip_is_pinned() {
+    let config =
+        ChipConfig::small(SchemeKind::Nondestructive, Topology::new(2, 1, 2, 2)).with_seed(1313);
+    let run = Chip::new(config).run_closed_loop(
+        &ClosedLoopSource::read_mostly(600, 4),
+        ShardDispatch::Serial,
+    );
+    let aggregate = run.telemetry.aggregate();
+    assert_eq!(run.completed, 1_200);
+    assert_eq!(aggregate.queue.completed, 1_200);
+    assert_eq!(aggregate.queue.max_depth, 2);
+    assert_eq!(aggregate.read_retries, 142);
+    assert_pinned_ns("makespan", run.makespan_ns, 23_496.745_115_021_607);
+    let bus_wait_ns: f64 = run
+        .telemetry
+        .channels
+        .iter()
+        .map(|channel| channel.bus_wait_ns)
+        .sum();
+    assert_pinned_ns("bus wait", bus_wait_ns, 439.356_769_231_961_15);
 }
