@@ -3,7 +3,10 @@
 //!
 //! Structurally this is the scheduler frontend lifted one level: each
 //! *channel* runs its own discrete-event loop (own [`EventQueue`], own
-//! lanes, own bus bookkeeping, own traffic source stream), and channels
+//! lanes, own bus bookkeeping, own traffic source stream). The lanes are
+//! the frontend's lane core, so admission, FCFS dispatch and service are
+//! the same code in both engines; the channel loop adds only the bus
+//! stage between a bank's access and the transaction's completion. Channels
 //! share **nothing** — which is exactly the property that lets
 //! [`ShardDispatch::Sharded`] put one worker thread on each channel and
 //! still produce results **bit-identical** to [`ShardDispatch::Serial`].
@@ -34,7 +37,7 @@ use crate::reliability::EccMode;
 use crate::retry::RetryPolicy;
 use crate::sched::event::EventQueue;
 use crate::sched::policy::Policy;
-use crate::sched::queue::{InService, Lane, Queued};
+use crate::sched::queue::{Lane, Queued};
 use crate::telemetry::{BankTelemetry, ChannelTelemetry, LatencyBounds, QueueTelemetry};
 use crate::txn::{Transaction, TxnSource};
 
@@ -113,13 +116,11 @@ pub struct ChipConfig {
     pub interleave: InterleavePolicy,
     /// Shared-bus timing.
     pub bus: BusTiming,
-    /// Per-bank dispatch policy inside each channel.
-    pub policy: Policy,
 }
 
 impl ChipConfig {
     /// Paper-scale banks (16 kb each) arranged in `topology`, no faults,
-    /// linear interleaving, FCFS dispatch.
+    /// linear interleaving.
     #[must_use]
     pub fn date2010(kind: SchemeKind, topology: Topology) -> Self {
         Self {
@@ -133,7 +134,6 @@ impl ChipConfig {
             ecc: EccMode::None,
             interleave: InterleavePolicy::Linear,
             bus: BusTiming::date2010(),
-            policy: Policy::Fcfs,
         }
     }
 
@@ -178,13 +178,6 @@ impl ChipConfig {
     #[must_use]
     pub fn with_bus(mut self, bus: BusTiming) -> Self {
         self.bus = bus;
-        self
-    }
-
-    /// Overrides the per-bank dispatch policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -558,9 +551,7 @@ struct ChannelSim<'a> {
     group_bus_free: Vec<f64>,
     channel_bus_free: f64,
     outstanding: usize,
-    max_outstanding: u64,
     end_ns: f64,
-    completed: u64,
 }
 
 impl<'a> ChannelSim<'a> {
@@ -576,9 +567,7 @@ impl<'a> ChannelSim<'a> {
             group_bus_free: vec![0.0; config.topology.ranks * config.topology.groups],
             channel_bus_free: 0.0,
             outstanding: 0,
-            max_outstanding: 0,
             end_ns: 0.0,
-            completed: 0,
         }
     }
 
@@ -598,34 +587,23 @@ impl<'a> ChannelSim<'a> {
         );
         self.stats.issued += 1;
         self.outstanding += 1;
-        self.max_outstanding = self.max_outstanding.max(self.outstanding as u64);
+        self.stats.max_outstanding = self.stats.max_outstanding.max(self.outstanding as u64);
         let bank = banks
             .entry(txn.bank)
             .or_insert_with(|| Bank::new(txn.bank, self.bank_config));
         let lane = self
             .lanes
             .entry(txn.bank)
-            .or_insert_with(|| Lane::new(usize::MAX));
-        lane.stats.admitted += 1;
+            .or_insert_with(|| Lane::new(usize::MAX, 0));
         let queued = Queued {
             txn,
             trace_index,
             arrival_ns: now,
             admit_ns: now,
         };
-        if lane.in_service.is_none() && lane.queue.is_empty() {
-            start_service(
-                lane,
-                bank,
-                &self.bank_config.faults,
-                &mut self.events,
-                queued,
-                now,
-            );
-        } else {
-            lane.flush_occupancy(now);
-            lane.queue.admit(queued);
-            lane.stats.max_depth = lane.stats.max_depth.max(lane.queue.len() as u64);
+        if let Some(done) = lane.admit(bank, &self.bank_config.faults, queued, now) {
+            let bank = txn.bank;
+            self.events.schedule(done, Event::BankDone { bank });
         }
     }
 
@@ -647,41 +625,32 @@ impl<'a> ChannelSim<'a> {
         self.events.schedule(done, Event::Complete { bank });
     }
 
-    /// Retires the completed transaction and starts the bank's next one.
+    /// Retires the completed transaction and starts the bank's next one
+    /// (chip lanes dispatch FCFS).
     fn complete(&mut self, banks: &mut BTreeMap<usize, Bank>, bank: usize, now: f64) {
         let lane = self.lanes.get_mut(&bank).expect("completion without lane");
-        let served = lane.in_service.take().expect("completion without service");
-        lane.stats.completed += 1;
-        lane.stats.sojourn.observe(now - served.queued.arrival_ns);
+        lane.complete(now);
         self.stats.completed += 1;
-        self.completed += 1;
         self.outstanding -= 1;
         self.end_ns = self.end_ns.max(now);
         let bank_state = banks.get_mut(&bank).expect("completion without bank");
-        try_dispatch(
-            lane,
-            bank_state,
-            &self.bank_config.faults,
-            &mut self.events,
-            self.config.policy,
-            now,
-        );
+        let faults = &self.bank_config.faults;
+        if let Some(done) = lane.dispatch(bank_state, faults, Policy::Fcfs, now) {
+            self.events.schedule(done, Event::BankDone { bank });
+        }
     }
 
     /// Flushes per-lane occupancy integrals and folds this run's counters
     /// into the channel's persistent state.
     fn finish(mut self, state: &mut ChannelState) {
         for (index, lane) in &mut self.lanes {
-            debug_assert!(lane.queue.is_empty() && lane.in_service.is_none());
-            lane.flush_occupancy(self.end_ns);
-            lane.stats.horizon_ns = self.end_ns;
-            state.queues.entry(*index).or_default().merge(&lane.stats);
+            let stats = lane.seal(self.end_ns);
+            state.queues.entry(*index).or_default().merge(stats);
         }
-        self.stats.max_outstanding = self.max_outstanding;
         self.stats.horizon_ns = self.end_ns;
         state.stats.merge(&self.stats);
         state.last_end_ns = self.end_ns;
-        state.last_completed = self.completed;
+        state.last_completed = self.stats.completed;
     }
 }
 
@@ -760,55 +729,6 @@ fn run_channel(
         }
     }
     sim.finish(state);
-}
-
-/// Runs `Bank::execute` for `queued` and schedules the bus claim at `now +
-/// array service time` (the service time is whatever the bank actually
-/// charged, read off its busy-time accumulator — same convention as the
-/// scheduler frontend).
-fn start_service(
-    lane: &mut Lane,
-    bank: &mut Bank,
-    faults: &FaultPlan,
-    events: &mut EventQueue<Event>,
-    queued: Queued,
-    now: f64,
-) {
-    lane.stats.wait_ns.push(now - queued.admit_ns);
-    let busy_before = bank.telemetry().busy_time;
-    bank.execute(&queued.txn, faults);
-    let service_ns = (bank.telemetry().busy_time - busy_before).get() * 1e9;
-    events.schedule(
-        now + service_ns,
-        Event::BankDone {
-            bank: queued.txn.bank,
-        },
-    );
-    lane.in_service = Some(InService {
-        queued,
-        start_ns: now,
-    });
-}
-
-/// If the bank is idle and has waiting work, picks the next transaction per
-/// `policy` and starts serving it.
-fn try_dispatch(
-    lane: &mut Lane,
-    bank: &mut Bank,
-    faults: &FaultPlan,
-    events: &mut EventQueue<Event>,
-    policy: Policy,
-    now: f64,
-) {
-    if lane.in_service.is_some() {
-        return;
-    }
-    let Some(index) = policy.choose(&mut lane.queue) else {
-        return;
-    };
-    lane.flush_occupancy(now);
-    let queued = lane.queue.take(index);
-    start_service(lane, bank, faults, events, queued, now);
 }
 
 #[cfg(test)]

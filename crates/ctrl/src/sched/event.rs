@@ -1,9 +1,10 @@
 //! A deterministic discrete-event queue.
 //!
-//! The scheduler frontend is a classic event-driven simulator: the only
-//! things that happen are *arrivals* (a transaction is offered to a bank
-//! queue) and *completions* (a bank finishes serving a transaction), and
-//! each one is processed at an exact simulated timestamp. Determinism is
+//! The scheduler frontend is a classic event-driven simulator: the things
+//! that happen are *arrivals* (a transaction is offered to a bank queue),
+//! *completions* (a bank finishes serving a transaction) and background
+//! offers and completions (scrub, March test, calibration), and each one
+//! is processed at an exact simulated timestamp. Determinism is
 //! non-negotiable here — the whole `stt-ctrl` test strategy leans on
 //! bit-identical replay — so the queue breaks timestamp ties by insertion
 //! sequence number: two events at the same instant always pop in the order

@@ -35,7 +35,7 @@ use crate::txn::{Op, Transaction, TxnSource};
 
 use super::event::EventQueue;
 use super::policy::{Policy, PriorityClass};
-use super::queue::{InService, Lane, ParkedRetry, Queued};
+use super::queue::{InService, Lane, Occupant, ParkedRetry, Queued};
 
 /// What admission does when a transaction's bank queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -217,19 +217,19 @@ impl FrontendConfig {
                 "retry delay must be positive, got {delay_ns}"
             );
         }
-        if let Some(scrub) = self.scrub {
-            assert!(
-                scrub.interval_ns.is_finite() && scrub.interval_ns > 0.0,
-                "scrub interval must be positive, got {}",
-                scrub.interval_ns
-            );
+        let periods = [
+            ("scrub", self.scrub.map(|scrub| scrub.interval_ns)),
+            ("calibration", self.calib.map(|calib| calib.interval_ns)),
+        ];
+        for (source, interval_ns) in periods {
+            if let Some(interval_ns) = interval_ns {
+                assert!(
+                    interval_ns.is_finite() && interval_ns > 0.0,
+                    "{source} interval must be positive, got {interval_ns}"
+                );
+            }
         }
         if let Some(calib) = self.calib {
-            assert!(
-                calib.interval_ns.is_finite() && calib.interval_ns > 0.0,
-                "calibration interval must be positive, got {}",
-                calib.interval_ns
-            );
             assert!(
                 calib.burst_reads > 0,
                 "a calibration burst needs at least one read"
@@ -264,6 +264,20 @@ pub struct Completion {
 }
 
 impl Completion {
+    /// The completion record of `served`, retired by `bank` at
+    /// `complete_ns`.
+    fn of(served: InService, bank: usize, complete_ns: f64) -> Self {
+        Self {
+            trace_index: served.queued.trace_index,
+            bank,
+            op: served.queued.txn.op,
+            arrival_ns: served.queued.arrival_ns,
+            admit_ns: served.queued.admit_ns,
+            start_ns: served.start_ns,
+            complete_ns,
+        }
+    }
+
     /// Arrival-to-completion time — what a host actually waits.
     #[must_use]
     pub fn sojourn_ns(&self) -> f64 {
@@ -441,55 +455,72 @@ enum Event {
     /// A transaction is offered to its bank (fresh from the trace, or a
     /// re-offer under [`Backpressure::Retry`]).
     Arrive { trace_index: usize, fresh: bool },
-    /// A bank finished serving its in-flight transaction.
+    /// A bank finished serving its in-flight demand transaction.
     Complete { bank: usize },
-    /// The scrub daemon's periodic tick: offer one word-scrub to `bank`.
-    /// Served only when the lane is idle and the policy arbitrates
-    /// [`PriorityClass::Background`]; deferred (and counted) otherwise.
-    Scrub { bank: usize },
-    /// A bank finished an in-flight word-scrub.
-    ScrubComplete { bank: usize },
-    /// Offer `bank` its next March-test operation. Served when the lane is
-    /// idle and no demand waits (strict [`PriorityClass`] order); deferred
-    /// (and counted) otherwise, to be re-kicked by the next completion.
-    March { bank: usize },
-    /// A bank finished an in-flight March-test operation.
-    MarchComplete { bank: usize },
-    /// The calibration daemon's periodic tick: evaluate `bank`'s trip
-    /// condition. A check is free; a *tripped* check runs the burst +
-    /// refit and occupies the lane like scrub. Background priority:
-    /// deferred (and counted) when the lane is busy or demand/test waits.
-    Calib { bank: usize },
-    /// A bank finished an in-flight calibration burst.
-    CalibComplete { bank: usize },
+    /// `source` offers `bank` its next operation: served when the lane is
+    /// idle and no higher [`PriorityClass`] waits; deferred (and counted)
+    /// otherwise.
+    Background { bank: usize, source: Source },
+    /// A bank finished an in-flight background operation.
+    BackgroundDone { bank: usize },
 }
 
-/// Run state of the March traffic source: one lowered schedule shared by
-/// every bank, plus per-bank progress cursors. The schedule is lowered once
-/// per [`Frontend::run`] call, so every run replays the full test.
-struct MarchSource {
-    /// The lowered program (empty when no [`MarchConfig`] is set).
+/// The three background traffic sources a lane serves in the gaps demand
+/// leaves, each ranked by its [`PriorityClass`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// The scrub daemon ([`ScrubConfig`]): a periodic word scrub.
+    Scrub,
+    /// The March tester ([`MarchConfig`]): its next op, offered whenever
+    /// the lane may have gone idle and at most one offer pending per bank.
+    March,
+    /// The calibration daemon ([`CalibConfig`]): a periodic check, free
+    /// unless it trips; a tripped check runs a reference burst + β refit.
+    Calib,
+}
+
+impl Source {
+    fn class(self) -> PriorityClass {
+        match self {
+            Source::March => PriorityClass::Test,
+            Source::Scrub | Source::Calib => PriorityClass::Background,
+        }
+    }
+
+    /// The queue counter an offer of this source increments when deferred.
+    fn deferred(self, stats: &mut QueueTelemetry) -> &mut u64 {
+        match self {
+            Source::Scrub => &mut stats.scrub_deferred,
+            Source::March => &mut stats.march_deferred,
+            Source::Calib => &mut stats.calib_deferred,
+        }
+    }
+}
+
+/// Run state of the background sources of one [`Frontend::run`]. The March
+/// schedule is lowered once per run and shared by every bank, with
+/// per-bank progress cursors, so every run replays the full test.
+struct Background {
+    scrub: Option<ScrubConfig>,
+    calib: Option<CalibConfig>,
+    /// The lowered March program (empty when no [`MarchConfig`] is set).
     steps: Vec<MarchStep>,
-    /// Next step index per bank.
+    /// Next March step index per bank.
     cursor: Vec<usize>,
-    /// Whether an [`Event::March`] for the bank is already in the heap
-    /// (at most one per bank, like the scrub daemon's tick).
+    /// Whether a March offer for the bank is already in the heap (at most
+    /// one per bank, like a periodic source's tick).
     kicked: Vec<bool>,
-    /// Steps not yet executed across all banks; the scrub daemon stays
-    /// alive — and the event loop keeps running — while this is non-zero.
+    /// March steps not yet executed across all banks; the periodic sources
+    /// stay alive — and the event loop keeps running — while this is
+    /// non-zero.
     remaining: usize,
     /// Raw-array read mode (see [`MarchConfig::raw`]).
     raw: bool,
 }
 
-impl MarchSource {
-    fn new(
-        config: Option<MarchConfig>,
-        capacity_bits: usize,
-        cols: usize,
-        bank_count: usize,
-    ) -> Self {
-        let steps = match config {
+impl Background {
+    fn new(config: &FrontendConfig, capacity_bits: usize, cols: usize, banks: usize) -> Self {
+        let steps = match config.march {
             Some(march) => {
                 let cells = u32::try_from(capacity_bits)
                     .expect("bank capacity must fit March cell indices");
@@ -502,41 +533,98 @@ impl MarchSource {
             None => Vec::new(),
         };
         Self {
-            remaining: steps.len() * bank_count,
-            cursor: vec![0; bank_count],
-            kicked: vec![false; bank_count],
+            scrub: config.scrub,
+            calib: config.calib,
+            remaining: steps.len() * banks,
+            cursor: vec![0; banks],
+            kicked: vec![false; banks],
             steps,
-            raw: config.is_some_and(|march| march.raw),
+            raw: config.march.is_some_and(|march| march.raw),
         }
     }
 
     /// `true` while the bank has March steps left to run.
-    fn waiting(&self, bank: usize) -> bool {
+    fn march_waiting(&self, bank: usize) -> bool {
         self.cursor[bank] < self.steps.len()
     }
-}
 
-/// Schedules `bank`'s next March offer at `now` if steps remain, none is
-/// already pending, and the lane is idle — called wherever the lane may
-/// have just gone idle (every completion flavour). A ready test op that
-/// finds the lane re-occupied (demand won arbitration at this completion)
-/// counts as one deferral.
-fn kick_march(
-    march: &mut MarchSource,
-    lane: &mut Lane,
-    events: &mut EventQueue<Event>,
-    bank: usize,
-    now: f64,
-) {
-    if !march.waiting(bank) || march.kicked[bank] {
-        return;
+    /// The period of a periodic source (`None` for the kick-driven tester).
+    fn interval_ns(&self, source: Source) -> Option<f64> {
+        match source {
+            Source::Scrub => self.scrub.map(|scrub| scrub.interval_ns),
+            Source::March => None,
+            Source::Calib => self.calib.map(|calib| calib.interval_ns),
+        }
     }
-    if lane.in_service.is_some() || lane.scrub_busy || lane.march_busy || lane.calib_busy {
-        lane.stats.march_deferred += 1;
-        return;
+
+    /// `true` when work of a class ranked above `class` waits on `lane`.
+    fn outranked(&self, class: PriorityClass, lane: &Lane, bank: usize) -> bool {
+        (class > PriorityClass::Demand && !lane.queue.is_empty())
+            || (class > PriorityClass::Test && self.march_waiting(bank))
     }
-    march.kicked[bank] = true;
-    events.schedule(now, Event::March { bank });
+
+    /// Runs `source`'s next operation on `bank` and returns the time it
+    /// charged to the source's own busy clock (nanoseconds), or `None` for
+    /// a calibration check that did not trip (counter inspection only, no
+    /// array access, so it does not occupy the lane).
+    fn run_op(
+        &mut self,
+        source: Source,
+        index: usize,
+        bank: &mut Bank,
+        faults: &FaultPlan,
+    ) -> Option<f64> {
+        let clock = |bank: &Bank| {
+            let telemetry = bank.telemetry();
+            match source {
+                Source::Scrub => telemetry.ecc.scrub_busy_time,
+                Source::March => telemetry.march.busy_time,
+                Source::Calib => telemetry.calib.busy_time,
+            }
+        };
+        let busy_before = clock(bank);
+        match source {
+            Source::Scrub => {
+                bank.scrub_next(faults);
+            }
+            Source::March => {
+                let step = self.steps[self.cursor[index]];
+                self.cursor[index] += 1;
+                self.remaining -= 1;
+                bank.execute_march_op(step.cell, step.op, step.element, self.raw, faults);
+            }
+            Source::Calib => {
+                let calib = self.calib.expect("calibration offer without calib config");
+                if !bank.calibration_tick(&calib) {
+                    return None;
+                }
+            }
+        }
+        Some((clock(bank) - busy_before).get() * 1e9)
+    }
+
+    /// Offers `bank` its next March op at `now` if steps remain, none is
+    /// already pending, and the lane is idle — called wherever the lane may
+    /// have just gone idle. A ready test op that finds the lane re-occupied
+    /// (demand won arbitration at this instant) counts as one deferral.
+    fn kick_march(
+        &mut self,
+        lane: &mut Lane,
+        events: &mut EventQueue<Event>,
+        bank: usize,
+        now: f64,
+    ) {
+        if !self.march_waiting(bank) || self.kicked[bank] {
+            return;
+        }
+        if !lane.is_idle() {
+            lane.stats.march_deferred += 1;
+            return;
+        }
+        self.kicked[bank] = true;
+        let source = Source::March;
+        events.schedule(now, Event::Background { bank, source });
+    }
 }
 
 /// An admission blocked on a full queue under [`Backpressure::Stall`].
@@ -708,7 +796,7 @@ impl Frontend {
         }
 
         let banks = self.controller.banks_mut();
-        // FCFS at unbounded depth with no scrub daemon is the hot
+        // FCFS at unbounded depth with no background source is the hot
         // configuration (it is also the serial-replay anchor): backpressure
         // can never fire, banks never interact, and the only event kinds
         // are fresh arrivals and completions. That specialisation replaces
@@ -732,7 +820,7 @@ impl Frontend {
             .iter()
             .map(|&load| {
                 let hint = if fast_path { 0 } else { queue_depth.min(load) };
-                let mut lane = Lane::with_capacity_hint(queue_depth, hint);
+                let mut lane = Lane::new(queue_depth, hint);
                 if exact_sojourn {
                     lane.stats.sojourn = SojournStats::exact();
                 }
@@ -747,7 +835,6 @@ impl Frontend {
 
         if fast_path {
             let mut slots = vec![CompletionSlot::idle(); bank_count];
-            let mut in_flight = vec![FastInFlight::default(); bank_count];
             let mut rings: Vec<VecDeque<FastQueued>> = bank_load
                 .iter()
                 .map(|&load| VecDeque::with_capacity(load))
@@ -761,7 +848,6 @@ impl Frontend {
                 &faults,
                 &mut slots,
                 &mut rings,
-                &mut in_flight,
                 &mut completions,
             );
             let steady_state_allocs = alloc_probe::count() - allocs_before;
@@ -769,69 +855,49 @@ impl Frontend {
         }
 
         // In flight at any instant: one fresh arrival, per bank one
-        // completion + one scrub tick + one scrub completion + one March
-        // offer or completion + one calibration tick + one calibration
-        // completion, plus at most one re-offer per parked transaction.
+        // completion (demand or background) + one scrub tick + one March
+        // offer + one calibration tick, plus at most one re-offer per
+        // parked transaction.
         let mut events: EventQueue<Event> =
-            EventQueue::with_capacity(if retrying { n } else { 0 } + 6 * bank_count + 4);
+            EventQueue::with_capacity(if retrying { n } else { 0 } + 4 * bank_count + 4);
         let mut cursor = 0usize;
         let mut stalled: Option<StalledAdmission> = None;
-        // Demand transactions not yet completed or dropped. The scrub and
-        // calibration daemons' ticks reschedule themselves only while this
-        // (or the March backlog) is non-zero, so the event loop terminates
-        // as soon as demand and test traffic drain.
+        // Demand transactions not yet completed or dropped. The periodic
+        // sources reschedule themselves only while this (or the March
+        // backlog) is non-zero, so the event loop terminates as soon as
+        // demand and test traffic drain.
         let mut unfinished = n;
-        let mut march = MarchSource::new(march, capacity_bits, cols, bank_count);
+        let mut background = Background::new(&self.config, capacity_bits, cols, bank_count);
 
         schedule_fresh(&mut events, &order, trace, &mut cursor, 0.0);
-        for bank in 0..bank_count {
-            if march.waiting(bank) {
-                march.kicked[bank] = true;
-                events.schedule(0.0, Event::March { bank });
-            }
+        for (bank, lane) in lanes.iter_mut().enumerate() {
+            background.kick_march(lane, &mut events, bank, 0.0);
         }
-        if let Some(scrub) = scrub {
-            if unfinished > 0 || march.remaining > 0 {
-                for bank in 0..bank_count {
-                    events.schedule(scrub.interval_ns, Event::Scrub { bank });
-                }
-            }
-        }
-        if let Some(calib) = calib {
-            if unfinished > 0 || march.remaining > 0 {
-                for bank in 0..bank_count {
-                    events.schedule(calib.interval_ns, Event::Calib { bank });
+        if unfinished > 0 || background.remaining > 0 {
+            for source in [Source::Scrub, Source::Calib] {
+                if let Some(interval_ns) = background.interval_ns(source) {
+                    for bank in 0..bank_count {
+                        events.schedule(interval_ns, Event::Background { bank, source });
+                    }
                 }
             }
         }
 
         let allocs_before = alloc_probe::count();
         while let Some((now, event)) = events.pop() {
-            // The bank whose lane this event frees (any completion flavour).
-            let freed = match event {
+            // Only completions fall through: they free the bank's lane.
+            let bank = match event {
                 Event::Arrive { trace_index, fresh } => {
                     end_ns = end_ns.max(now);
                     let txn = trace.get(trace_index);
                     let lane = &mut lanes[txn.bank];
                     let mut advance_stream = fresh;
-                    if lane.in_service.is_none()
-                        && !lane.scrub_busy
-                        && !lane.march_busy
-                        && !lane.calib_busy
-                        && lane.queue.is_empty()
-                    {
-                        // Idle bank, empty queue: straight into service.
-                        lane.stats.admitted += 1;
-                        let queued = Queued {
-                            txn,
-                            trace_index,
-                            arrival_ns: txn.arrival_ns as f64,
-                            admit_ns: now,
-                        };
-                        let complete_ns =
-                            start_service(lane, &mut banks[txn.bank], &faults, queued, now);
-                        events.schedule(complete_ns, Event::Complete { bank: txn.bank });
-                    } else if lane.queue.is_full() {
+                    if !lane.queue.is_full() {
+                        let queued = admitted(txn, trace_index, now);
+                        if let Some(done) = lane.admit(&mut banks[txn.bank], &faults, queued, now) {
+                            events.schedule(done, Event::Complete { bank: txn.bank });
+                        }
+                    } else {
                         match backpressure {
                             Backpressure::Drop => {
                                 lane.stats.dropped += 1;
@@ -862,160 +928,65 @@ impl Frontend {
                                 advance_stream = false;
                             }
                         }
-                    } else {
-                        admit(lane, txn, trace_index, now);
                     }
                     if advance_stream {
                         schedule_fresh(&mut events, &order, trace, &mut cursor, now);
                     }
-                    None
+                    continue;
+                }
+                Event::Background { bank, source } => {
+                    if source == Source::March {
+                        background.kicked[bank] = false;
+                        if !background.march_waiting(bank) {
+                            continue;
+                        }
+                    } else if unfinished == 0 && background.remaining == 0 {
+                        // The periodic sources die with the demand and test
+                        // streams: no reschedule, so the loop drains. (An
+                        // idle tick also leaves the makespan alone.)
+                        continue;
+                    }
+                    let lane = &mut lanes[bank];
+                    if !lane.is_idle() || background.outranked(source.class(), lane, bank) {
+                        // A deferred March offer is re-kicked by whatever
+                        // occupies the lane when it completes (a non-empty
+                        // queue implies a busy lane, so one is pending).
+                        *source.deferred(&mut lane.stats) += 1;
+                    } else if let Some(service_ns) =
+                        background.run_op(source, bank, &mut banks[bank], &faults)
+                    {
+                        lane.occupant = Occupant::Background;
+                        events.schedule(now + service_ns, Event::BackgroundDone { bank });
+                    }
+                    if let Some(interval_ns) = background.interval_ns(source) {
+                        events.schedule(now + interval_ns, Event::Background { bank, source });
+                    }
+                    continue;
                 }
                 Event::Complete { bank } => {
-                    end_ns = end_ns.max(now);
-                    let lane = &mut lanes[bank];
-                    let served = lane.in_service.take().expect("completion without service");
-                    lane.stats.completed += 1;
+                    let served = lanes[bank].complete(now);
                     unfinished -= 1;
-                    let sojourn_ns = now - served.queued.arrival_ns;
-                    lane.stats.sojourn.observe(sojourn_ns);
-                    completions.push(Completion {
-                        trace_index: served.queued.trace_index,
-                        bank,
-                        op: served.queued.txn.op,
-                        arrival_ns: served.queued.arrival_ns,
-                        admit_ns: served.queued.admit_ns,
-                        start_ns: served.start_ns,
-                        complete_ns: now,
-                    });
-                    Some(bank)
+                    completions.push(Completion::of(served, bank, now));
+                    bank
                 }
-                Event::Scrub { bank } => {
-                    // The daemon dies with the demand and test streams: no
-                    // reschedule once everything completed or dropped, so
-                    // the loop drains. (An idle tick also leaves the
-                    // makespan alone.)
-                    if unfinished == 0 && march.remaining == 0 {
-                        continue;
-                    }
-                    let interval_ns = scrub.expect("scrub event without scrub config").interval_ns;
+                Event::BackgroundDone { bank } => {
                     let lane = &mut lanes[bank];
-                    let busy = lane.in_service.is_some()
-                        || lane.scrub_busy
-                        || lane.march_busy
-                        || lane.calib_busy;
-                    if busy
-                        || policy.arbitrate3(!lane.queue.is_empty(), march.waiting(bank))
-                            != PriorityClass::Background
-                    {
-                        // Demand and test traffic preempt at arbitration:
-                        // skip this tick.
-                        lane.stats.scrub_deferred += 1;
-                    } else {
-                        let served = &mut banks[bank];
-                        let busy_before = served.telemetry().ecc.scrub_busy_time;
-                        served.scrub_next(&faults);
-                        let service_ns =
-                            (served.telemetry().ecc.scrub_busy_time - busy_before).get() * 1e9;
-                        lane.scrub_busy = true;
-                        events.schedule(now + service_ns, Event::ScrubComplete { bank });
-                    }
-                    events.schedule(now + interval_ns, Event::Scrub { bank });
-                    None
+                    debug_assert!(
+                        matches!(lane.occupant, Occupant::Background),
+                        "background completion without a background op"
+                    );
+                    lane.occupant = Occupant::Idle;
+                    bank
                 }
-                Event::ScrubComplete { bank } => {
-                    end_ns = end_ns.max(now);
-                    let lane = &mut lanes[bank];
-                    debug_assert!(lane.scrub_busy, "scrub completion without scrub");
-                    lane.scrub_busy = false;
-                    Some(bank)
-                }
-                Event::March { bank } => {
-                    march.kicked[bank] = false;
-                    if !march.waiting(bank) {
-                        continue;
-                    }
-                    let lane = &mut lanes[bank];
-                    let busy = lane.in_service.is_some()
-                        || lane.scrub_busy
-                        || lane.march_busy
-                        || lane.calib_busy;
-                    if busy
-                        || policy.arbitrate3(!lane.queue.is_empty(), true) != PriorityClass::Test
-                    {
-                        // Whatever occupies the lane re-kicks the test when
-                        // it completes (a non-empty queue implies a busy
-                        // lane, so a completion is always pending here).
-                        lane.stats.march_deferred += 1;
-                        continue;
-                    }
-                    end_ns = end_ns.max(now);
-                    let step = march.steps[march.cursor[bank]];
-                    march.cursor[bank] += 1;
-                    march.remaining -= 1;
-                    let served = &mut banks[bank];
-                    let busy_before = served.telemetry().march.busy_time;
-                    served.execute_march_op(step.cell, step.op, step.element, march.raw, &faults);
-                    let service_ns = (served.telemetry().march.busy_time - busy_before).get() * 1e9;
-                    lane.march_busy = true;
-                    events.schedule(now + service_ns, Event::MarchComplete { bank });
-                    None
-                }
-                Event::MarchComplete { bank } => {
-                    end_ns = end_ns.max(now);
-                    let lane = &mut lanes[bank];
-                    debug_assert!(lane.march_busy, "march completion without march op");
-                    lane.march_busy = false;
-                    Some(bank)
-                }
-                Event::Calib { bank } => {
-                    // Like the scrub daemon, the calibration daemon dies
-                    // with the demand and test streams.
-                    if unfinished == 0 && march.remaining == 0 {
-                        continue;
-                    }
-                    let config = calib.expect("calibration event without calib config");
-                    let lane = &mut lanes[bank];
-                    let busy = lane.in_service.is_some()
-                        || lane.scrub_busy
-                        || lane.march_busy
-                        || lane.calib_busy;
-                    if busy
-                        || policy.arbitrate3(!lane.queue.is_empty(), march.waiting(bank))
-                            != PriorityClass::Background
-                    {
-                        lane.stats.calib_deferred += 1;
-                    } else {
-                        // A check that does not trip is free (counter
-                        // inspection, no array access); only a tripped
-                        // check — burst + refit — occupies the lane.
-                        let served = &mut banks[bank];
-                        let busy_before = served.telemetry().calib.busy_time;
-                        if served.calibration_tick(&config) {
-                            let service_ns =
-                                (served.telemetry().calib.busy_time - busy_before).get() * 1e9;
-                            lane.calib_busy = true;
-                            events.schedule(now + service_ns, Event::CalibComplete { bank });
-                        }
-                    }
-                    events.schedule(now + config.interval_ns, Event::Calib { bank });
-                    None
-                }
-                Event::CalibComplete { bank } => {
-                    end_ns = end_ns.max(now);
-                    let lane = &mut lanes[bank];
-                    debug_assert!(lane.calib_busy, "calibration completion without a burst");
-                    lane.calib_busy = false;
-                    Some(bank)
-                }
-            };
-            let Some(bank) = freed else {
-                continue;
             };
             // The lane went idle: dispatch, wake a parked retry, land a
             // stalled admission, then offer the tester a turn — in that
             // order, whichever class just released the lane.
+            end_ns = end_ns.max(now);
             let lane = &mut lanes[bank];
-            try_dispatch(lane, &mut banks[bank], &faults, &mut events, policy, now);
+            if let Some(done) = lane.dispatch(&mut banks[bank], &faults, policy, now) {
+                events.schedule(done, Event::Complete { bank });
+            }
             wake_parked(lane, &mut events, backpressure, now);
             // Dispatch freed a slot (or the queue was empty): a stalled
             // admission targeting this bank can land now.
@@ -1024,39 +995,23 @@ impl Frontend {
                 if txn.bank == bank && !lane.queue.is_full() {
                     stalled = None;
                     lane.stats.stall_time_ns += now - blocked.offered_ns;
-                    if lane.in_service.is_none()
-                        && !lane.scrub_busy
-                        && !lane.march_busy
-                        && !lane.calib_busy
-                        && lane.queue.is_empty()
-                    {
-                        lane.stats.admitted += 1;
-                        let queued = Queued {
-                            txn,
-                            trace_index: blocked.trace_index,
-                            arrival_ns: txn.arrival_ns as f64,
-                            admit_ns: now,
-                        };
-                        let complete_ns =
-                            start_service(lane, &mut banks[bank], &faults, queued, now);
-                        events.schedule(complete_ns, Event::Complete { bank });
-                    } else {
-                        admit(lane, txn, blocked.trace_index, now);
+                    let queued = admitted(txn, blocked.trace_index, now);
+                    if let Some(done) = lane.admit(&mut banks[bank], &faults, queued, now) {
+                        events.schedule(done, Event::Complete { bank });
                     }
                     // The host unblocks: resume the arrival stream, no
                     // earlier than now.
                     schedule_fresh(&mut events, &order, trace, &mut cursor, now);
                 }
             }
-            kick_march(&mut march, &mut lanes[bank], &mut events, bank, now);
+            background.kick_march(lane, &mut events, bank, now);
         }
         let steady_state_allocs = alloc_probe::count() - allocs_before;
 
         debug_assert_eq!(
-            march.remaining, 0,
+            background.remaining, 0,
             "event loop drained with March steps pending"
         );
-
         debug_assert!(
             stalled.is_none(),
             "event loop drained with a stalled admission"
@@ -1074,19 +1029,9 @@ impl Frontend {
         end_ns: f64,
         steady_state_allocs: u64,
     ) -> SchedRun {
-        for lane in &mut lanes {
-            debug_assert!(lane.queue.is_empty() && lane.in_service.is_none() && !lane.scrub_busy);
-            debug_assert!(!lane.march_busy, "drained loop left a March op in flight");
-            debug_assert!(
-                !lane.calib_busy,
-                "drained loop left a calibration burst in flight"
-            );
+        for (accumulated, lane) in self.accumulated.iter_mut().zip(&mut lanes) {
             debug_assert!(lane.parked.is_empty(), "drained loop left parked retries");
-            lane.flush_occupancy(end_ns);
-            lane.stats.horizon_ns = end_ns;
-        }
-        for (accumulated, lane) in self.accumulated.iter_mut().zip(&lanes) {
-            accumulated.merge(&lane.stats);
+            accumulated.merge(lane.seal(end_ns));
         }
         SchedRun {
             telemetry: self.telemetry(),
@@ -1166,37 +1111,8 @@ struct FastQueued {
     admit_ns: f64,
 }
 
-/// Fast-path in-flight record — the lane's `in_service` equivalent, kept
-/// in a flat per-bank array so service start and completion never touch
-/// the `Option` machinery. Valid exactly while the bank's completion slot
-/// is non-idle.
-#[derive(Debug, Clone, Copy, Default)]
-struct FastInFlight {
-    trace_index: u32,
-    admit_ns: f64,
-    start_ns: f64,
-}
-
-/// The service-start half of the fast path: identical telemetry and bank
-/// work to [`start_service`], minus the `InService` store (the caller
-/// records a [`FastInFlight`] instead). Returns the completion instant.
-fn fast_start_service(
-    lane: &mut Lane,
-    bank: &mut Bank,
-    faults: &FaultPlan,
-    txn: &Transaction,
-    admit_ns: f64,
-    now: f64,
-) -> f64 {
-    lane.stats.wait_ns.push(now - admit_ns);
-    let busy_before = bank.telemetry().busy_time;
-    bank.execute(txn, faults);
-    let service_ns = (bank.telemetry().busy_time - busy_before).get() * 1e9;
-    now + service_ns
-}
-
 /// The raw-speed specialisation of the event loop for FCFS dispatch at
-/// unbounded queue depth with no scrub daemon (DESIGN.md §12).
+/// unbounded queue depth with no background source (DESIGN.md §12).
 ///
 /// Under that configuration backpressure can never fire and the only
 /// event kinds are fresh arrivals — already sorted in `order` — and bank
@@ -1204,8 +1120,9 @@ fn fast_start_service(
 /// therefore collapses to a cursor over `order` merged against
 /// `bank_count` completion slots by `(time, seq)`, with sequence numbers
 /// assigned at exactly the points the general loop calls
-/// `EventQueue::schedule`. Pop order, per-lane telemetry, completion-log
-/// order and bank state are bit-identical to the general loop — the
+/// `EventQueue::schedule`. Service starts and completions go through the
+/// same lane core as the general loop, so pop order, per-lane telemetry,
+/// completion-log order and bank state are bit-identical to it — the
 /// integration suite asserts it by replaying the same trace down both
 /// paths. Returns the run horizon.
 // The arguments are the loop's working set, preallocated by the caller so
@@ -1220,7 +1137,6 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
     faults: &FaultPlan,
     slots: &mut [CompletionSlot],
     rings: &mut [VecDeque<FastQueued>],
-    in_flight: &mut [FastInFlight],
     completions: &mut CompletionLog,
 ) -> f64 {
     let Some(&first) = order.first() else {
@@ -1254,31 +1170,22 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
         end_ns = now;
         if bank == usize::MAX {
             // Fresh arrival (Event::Arrive with fresh = true).
-            let trace_index = arr_index;
-            let txn = arr_txn;
-            let b = txn.bank;
+            let b = arr_txn.bank;
             let lane = &mut lanes[b];
-            // Slot idle ⟺ the bank is not serving (fast-path invariant),
-            // and the slot is already hot from the scan above.
-            if slots[b] == CompletionSlot::idle() && rings[b].is_empty() {
+            lane.stats.admitted += 1;
+            if lane.is_idle() && rings[b].is_empty() {
                 // Idle bank, empty queue: straight into service.
-                lane.stats.admitted += 1;
-                let complete_ns = fast_start_service(lane, &mut banks[b], faults, &txn, now, now);
-                in_flight[b] = FastInFlight {
-                    trace_index: trace_index as u32,
-                    admit_ns: now,
-                    start_ns: now,
-                };
+                let queued = admitted(arr_txn, arr_index, now);
+                let complete_ns = lane.serve(&mut banks[b], faults, queued, now);
                 slots[b] = CompletionSlot::new(complete_ns, next_seq);
                 next_seq += 1;
             } else {
-                // `admit` against the lane-local FIFO ring: same counter
-                // and depth-integral updates, no slab indirection.
-                lane.stats.admitted += 1;
+                // `Lane::admit` against the lane-local FIFO ring: same
+                // counter and depth-integral updates, no slab indirection.
                 lane.stats.depth_time_ns += rings[b].len() as f64 * (now - lane.last_change_ns);
                 lane.last_change_ns = now;
                 rings[b].push_back(FastQueued {
-                    trace_index: trace_index as u32,
+                    trace_index: arr_index as u32,
                     admit_ns: now,
                 });
                 lane.stats.max_depth = lane.stats.max_depth.max(rings[b].len() as u64);
@@ -1294,38 +1201,17 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
                 arr_slot = CompletionSlot::idle();
             }
         } else {
-            // Event::Complete.
+            // Event::Complete, then `Lane::dispatch` under FCFS: the ring's
+            // head is the choice.
             slots[bank] = CompletionSlot::idle();
             let lane = &mut lanes[bank];
-            let served = in_flight[bank];
-            let txn = trace.get(served.trace_index as usize);
-            let arrival_ns = txn.arrival_ns as f64;
-            lane.stats.completed += 1;
-            let sojourn_ns = now - arrival_ns;
-            lane.stats.sojourn.observe(sojourn_ns);
-            completions.push(Completion {
-                trace_index: served.trace_index as usize,
-                bank,
-                op: txn.op,
-                arrival_ns,
-                admit_ns: served.admit_ns,
-                start_ns: served.start_ns,
-                complete_ns: now,
-            });
-            // try_dispatch under FCFS: the head is the choice.
-            if let Some(head) = {
-                lane.stats.depth_time_ns += rings[bank].len() as f64 * (now - lane.last_change_ns);
-                lane.last_change_ns = now;
-                rings[bank].pop_front()
-            } {
-                let txn = trace.get(head.trace_index as usize);
-                let complete_ns =
-                    fast_start_service(lane, &mut banks[bank], faults, &txn, head.admit_ns, now);
-                in_flight[bank] = FastInFlight {
-                    trace_index: head.trace_index,
-                    admit_ns: head.admit_ns,
-                    start_ns: now,
-                };
+            completions.push(Completion::of(lane.complete(now), bank, now));
+            lane.stats.depth_time_ns += rings[bank].len() as f64 * (now - lane.last_change_ns);
+            lane.last_change_ns = now;
+            if let Some(head) = rings[bank].pop_front() {
+                let index = head.trace_index as usize;
+                let queued = admitted(trace.get(index), index, head.admit_ns);
+                let complete_ns = lane.serve(&mut banks[bank], faults, queued, now);
                 slots[bank] = CompletionSlot::new(complete_ns, next_seq);
                 next_seq += 1;
             }
@@ -1373,62 +1259,14 @@ fn wake_parked(
     );
 }
 
-/// Admits a transaction into a lane's waiting queue at `now`.
-fn admit(lane: &mut Lane, txn: Transaction, trace_index: usize, now: f64) {
-    lane.stats.admitted += 1;
-    lane.flush_occupancy(now);
-    lane.queue.admit(Queued {
+/// The queue entry of trace transaction `trace_index` admitted at `now`.
+fn admitted(txn: Transaction, trace_index: usize, now: f64) -> Queued {
+    Queued {
         txn,
         trace_index,
         arrival_ns: txn.arrival_ns as f64,
         admit_ns: now,
-    });
-    lane.stats.max_depth = lane.stats.max_depth.max(lane.queue.len() as u64);
-}
-
-/// If the bank is idle and has waiting work, picks the next transaction per
-/// `policy` and starts serving it.
-fn try_dispatch(
-    lane: &mut Lane,
-    bank: &mut Bank,
-    faults: &FaultPlan,
-    events: &mut EventQueue<Event>,
-    policy: Policy,
-    now: f64,
-) {
-    if lane.in_service.is_some() || lane.scrub_busy || lane.march_busy || lane.calib_busy {
-        return;
     }
-    let Some(index) = policy.choose(&mut lane.queue) else {
-        return;
-    };
-    lane.flush_occupancy(now);
-    let queued = lane.queue.take(index);
-    let bank_index = queued.txn.bank;
-    let complete_ns = start_service(lane, bank, faults, queued, now);
-    events.schedule(complete_ns, Event::Complete { bank: bank_index });
-}
-
-/// Runs `Bank::execute` for `queued` and returns the completion instant
-/// `now + service time` for the caller to schedule. The service time is
-/// whatever the bank actually charged (attempt-dependent), read off its
-/// busy-time accumulator.
-fn start_service(
-    lane: &mut Lane,
-    bank: &mut Bank,
-    faults: &FaultPlan,
-    queued: Queued,
-    now: f64,
-) -> f64 {
-    lane.stats.wait_ns.push(now - queued.admit_ns);
-    let busy_before = bank.telemetry().busy_time;
-    bank.execute(&queued.txn, faults);
-    let service_ns = (bank.telemetry().busy_time - busy_before).get() * 1e9;
-    lane.in_service = Some(InService {
-        queued,
-        start_ns: now,
-    });
-    now + service_ns
 }
 
 #[cfg(test)]

@@ -16,9 +16,14 @@
 //!   (insertion-order tie-breaking, NaN-free by construction).
 //! * [`BankQueue`] — bounded per-bank admission queues that encode the
 //!   per-address ordering rule every policy must obey.
+//! * The lane core (`queue::Lane`) — one bank's queue, service-stage
+//!   occupant and counters, with the one demand service path (admit,
+//!   dispatch, serve, complete) that the frontend's loops and the
+//!   [`hierarchy`](crate::hierarchy) chip's channel loop share.
 //! * [`Policy`] — pluggable dispatch: FCFS, read-priority with write
-//!   draining, oldest-first anti-starvation — plus the [`PriorityClass`]
-//!   arbitration hook among demand, test and background traffic.
+//!   draining, oldest-first anti-starvation. Between traffic classes the
+//!   ranking is fixed: [`PriorityClass`] orders demand before test before
+//!   background work.
 //! * [`Frontend`] — the engine tying them together over a
 //!   [`Controller`](crate::Controller), with [`Backpressure`] (stall, drop,
 //!   retry) when queues fill, an optional background scrub daemon

@@ -17,30 +17,38 @@
 //!   the queue long after it first arrived; oldest-first is the
 //!   anti-starvation answer, bounding how far behind its peers a retried
 //!   transaction can fall.
+//!
+//! A policy orders demand transactions only. Whether a lane serves demand
+//! at all, or a March, scrub or calibration operation, is decided by rank:
+//! [`PriorityClass`] derives `Ord`, and a background source starts only on
+//! an idle lane with no higher class waiting.
 
 use serde::{Deserialize, Serialize};
 
 use super::queue::BankQueue;
 
-/// The traffic classes a bank lane arbitrates between.
+/// The traffic classes a bank lane arbitrates between, in rank order.
 ///
 /// Demand traffic is the host's reads and writes; test traffic is the
 /// March harness's lowered operations (see
 /// [`MarchConfig`](crate::sched::MarchConfig)); background traffic is the
 /// scrub daemon's word re-reads (see
-/// [`ScrubConfig`](crate::reliability::ScrubConfig)). The ordering is
-/// strict: every built-in [`Policy`] is work-conserving for demand, test
-/// work runs in lane-idle gaps, and scrub runs only when neither demand
-/// nor test work waits — an in-progress operation of any class finishes
-/// (the service stage is not interruptible, like a real array access), but
-/// no lower-class one starts while a higher class waits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// [`ScrubConfig`](crate::reliability::ScrubConfig)) and the calibration
+/// daemon's checks (see [`CalibConfig`](crate::calib::CalibConfig)). The
+/// ordering is strict and the derived `Ord` encodes it (`Demand < Test <
+/// Background`): a source starts an operation only on an idle lane with
+/// no higher-ranked work waiting, so every built-in [`Policy`] is
+/// work-conserving for demand, test work runs in demand-idle gaps, and
+/// background work runs only when neither demand nor test work waits. An
+/// in-progress operation of any class finishes (the service stage is not
+/// interruptible, like a real array access).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum PriorityClass {
     /// Host reads and writes.
     Demand,
     /// Manufacturing-test traffic (March operations).
     Test,
-    /// Best-effort maintenance traffic (scrub).
+    /// Best-effort maintenance traffic (scrub, calibration).
     Background,
 }
 
@@ -67,36 +75,6 @@ impl Policy {
             Policy::Fcfs => "fcfs",
             Policy::ReadPriority { .. } => "read-priority",
             Policy::OldestFirst => "oldest-first",
-        }
-    }
-
-    /// Which class an idle lane should serve next. Every built-in policy is
-    /// work-conserving for demand: [`PriorityClass::Background`] is chosen
-    /// only when no demand transaction is waiting. The hook is on `Policy`
-    /// so a future policy can trade differently (e.g. guarantee scrub
-    /// bandwidth under sustained load).
-    #[must_use]
-    pub fn arbitrate(&self, demand_waiting: bool) -> PriorityClass {
-        if demand_waiting {
-            PriorityClass::Demand
-        } else {
-            PriorityClass::Background
-        }
-    }
-
-    /// Three-way arbitration among demand, March-test and scrub work:
-    /// demand always wins, test work runs in demand-idle gaps, scrub only
-    /// when the lane is otherwise idle. [`Policy::arbitrate`] remains the
-    /// two-class view (test absent), so existing callers see identical
-    /// behaviour.
-    #[must_use]
-    pub fn arbitrate3(&self, demand_waiting: bool, test_waiting: bool) -> PriorityClass {
-        if demand_waiting {
-            PriorityClass::Demand
-        } else if test_waiting {
-            PriorityClass::Test
-        } else {
-            PriorityClass::Background
         }
     }
 
@@ -225,26 +203,9 @@ mod tests {
     }
 
     #[test]
-    fn arbitration_is_demand_work_conserving() {
-        for policy in [
-            Policy::Fcfs,
-            Policy::OldestFirst,
-            Policy::ReadPriority {
-                write_high_water: 4,
-            },
-        ] {
-            assert_eq!(policy.arbitrate(true), PriorityClass::Demand);
-            assert_eq!(policy.arbitrate(false), PriorityClass::Background);
-        }
-    }
-
-    #[test]
-    fn three_way_arbitration_is_strict() {
-        let policy = Policy::Fcfs;
-        assert_eq!(policy.arbitrate3(true, true), PriorityClass::Demand);
-        assert_eq!(policy.arbitrate3(true, false), PriorityClass::Demand);
-        assert_eq!(policy.arbitrate3(false, true), PriorityClass::Test);
-        assert_eq!(policy.arbitrate3(false, false), PriorityClass::Background);
+    fn priority_classes_rank_demand_then_test_then_background() {
+        assert!(PriorityClass::Demand < PriorityClass::Test);
+        assert!(PriorityClass::Test < PriorityClass::Background);
     }
 
     #[test]

@@ -14,12 +14,21 @@
 //! serving the head is an O(1) ring pop, and — after the preallocation the
 //! frontend requests via [`BankQueue::with_capacity_hint`] — the steady
 //! state allocates nothing.
+//!
+//! The module also holds the lane core (`Lane`): one bank's queue, what
+//! occupies its service stage and its queueing counters, plus the one
+//! demand service path every event loop uses — the scheduler frontend's
+//! general loop and FCFS fast path, and the chip's channel loop.
 
 use std::collections::VecDeque;
 
+use crate::bank::Bank;
+use crate::faults::FaultPlan;
 use crate::sched::arena::Slab;
 use crate::telemetry::QueueTelemetry;
 use crate::txn::Transaction;
+
+use super::policy::Policy;
 
 /// One admitted transaction waiting in a bank queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,6 +181,19 @@ pub(crate) struct InService {
     pub(crate) start_ns: f64,
 }
 
+/// What holds a lane's service stage. Every occupant is non-preemptive,
+/// like a real array access: it finishes before anything else starts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Occupant {
+    /// Nothing in service.
+    Idle,
+    /// A host transaction.
+    Demand(InService),
+    /// A background source's operation: a March op, a word scrub or a
+    /// calibration burst.
+    Background,
+}
+
 /// A transaction parked by [`Backpressure::Retry`](super::Backpressure)
 /// after its poll found the queue full: it waits off-queue (FIFO per lane)
 /// until a slot frees, then re-enters on its original polling grid. See
@@ -184,23 +206,17 @@ pub(crate) struct ParkedRetry {
     pub(crate) next_poll_ns: f64,
 }
 
-/// Per-bank run state shared by the scheduler frontend and the hierarchy
-/// chip engine: the waiting queue, the in-flight transaction and this run's
-/// queueing counters. The frontend keys lanes by bank index in a flat
-/// controller; the chip engine materialises them lazily per touched bank —
-/// the bookkeeping is identical either way, so it lives here once.
+/// One bank's lane: the core the scheduler frontend's loops and the chip's
+/// channel loop share. It holds the waiting queue, the service-stage
+/// occupant and this run's queueing counters, and owns the one demand
+/// service path ([`Lane::admit`], [`Lane::dispatch`], [`Lane::serve`],
+/// [`Lane::complete`]). Each method that starts service returns the
+/// completion instant; the caller schedules its own completion event. The
+/// frontend keys lanes by bank index in a flat controller; the chip engine
+/// materialises them lazily per touched bank.
 pub(crate) struct Lane {
     pub(crate) queue: BankQueue,
-    pub(crate) in_service: Option<InService>,
-    /// A word-scrub occupies the service stage (mutually exclusive with
-    /// `in_service`; scrub is non-preemptive once started).
-    pub(crate) scrub_busy: bool,
-    /// A March-test operation occupies the service stage (mutually
-    /// exclusive with both of the above; test ops are non-preemptive too).
-    pub(crate) march_busy: bool,
-    /// A calibration burst occupies the service stage (mutually exclusive
-    /// with all of the above; a burst is non-preemptive once tripped).
-    pub(crate) calib_busy: bool,
+    pub(crate) occupant: Occupant,
     pub(crate) last_change_ns: f64,
     pub(crate) stats: QueueTelemetry,
     /// Retry-backpressure waitlist (empty except under `Retry`).
@@ -208,21 +224,21 @@ pub(crate) struct Lane {
 }
 
 impl Lane {
-    pub(crate) fn new(queue_depth: usize) -> Self {
-        Self::with_capacity_hint(queue_depth, 0)
-    }
-
-    pub(crate) fn with_capacity_hint(queue_depth: usize, hint: usize) -> Self {
+    /// An idle lane whose queue holds `queue_depth` entries, `hint` of them
+    /// preallocated (see [`BankQueue::with_capacity_hint`]).
+    pub(crate) fn new(queue_depth: usize, hint: usize) -> Self {
         Self {
             queue: BankQueue::with_capacity_hint(queue_depth, hint),
-            in_service: None,
-            scrub_busy: false,
-            march_busy: false,
-            calib_busy: false,
+            occupant: Occupant::Idle,
             last_change_ns: 0.0,
             stats: QueueTelemetry::default(),
             parked: VecDeque::new(),
         }
+    }
+
+    /// `true` when nothing occupies the service stage.
+    pub(crate) fn is_idle(&self) -> bool {
+        matches!(self.occupant, Occupant::Idle)
     }
 
     /// Accumulates the depth integral up to `now` (call before any queue
@@ -230,6 +246,89 @@ impl Lane {
     pub(crate) fn flush_occupancy(&mut self, now: f64) {
         self.stats.depth_time_ns += self.queue.len() as f64 * (now - self.last_change_ns);
         self.last_change_ns = now;
+    }
+
+    /// Closes this run's counters at the horizon `end_ns` of a drained
+    /// loop.
+    pub(crate) fn seal(&mut self, end_ns: f64) -> &QueueTelemetry {
+        debug_assert!(self.queue.is_empty() && self.is_idle(), "lane not drained");
+        self.flush_occupancy(end_ns);
+        self.stats.horizon_ns = end_ns;
+        &self.stats
+    }
+
+    /// Admits `queued` at `now`: an idle lane with an empty queue serves it
+    /// at once and returns the completion instant; otherwise it waits at
+    /// the queue's tail. The caller has checked the queue is not full.
+    pub(crate) fn admit(
+        &mut self,
+        bank: &mut Bank,
+        faults: &FaultPlan,
+        queued: Queued,
+        now: f64,
+    ) -> Option<f64> {
+        self.stats.admitted += 1;
+        if self.is_idle() && self.queue.is_empty() {
+            return Some(self.serve(bank, faults, queued, now));
+        }
+        self.flush_occupancy(now);
+        self.queue.admit(queued);
+        self.stats.max_depth = self.stats.max_depth.max(self.queue.len() as u64);
+        None
+    }
+
+    /// If the lane is idle and has waiting work, serves the entry `policy`
+    /// picks and returns its completion instant.
+    pub(crate) fn dispatch(
+        &mut self,
+        bank: &mut Bank,
+        faults: &FaultPlan,
+        policy: Policy,
+        now: f64,
+    ) -> Option<f64> {
+        if !self.is_idle() {
+            return None;
+        }
+        let index = policy.choose(&mut self.queue)?;
+        self.flush_occupancy(now);
+        let queued = self.queue.take(index);
+        Some(self.serve(bank, faults, queued, now))
+    }
+
+    /// Runs `Bank::execute` for `queued` and returns the completion instant
+    /// `now + service time`. The service time is whatever the bank actually
+    /// charged (attempt-dependent), read off its busy-time accumulator.
+    pub(crate) fn serve(
+        &mut self,
+        bank: &mut Bank,
+        faults: &FaultPlan,
+        queued: Queued,
+        now: f64,
+    ) -> f64 {
+        self.stats.wait_ns.push(now - queued.admit_ns);
+        let busy_before = bank.telemetry().busy_time;
+        bank.execute(&queued.txn, faults);
+        let service_ns = (bank.telemetry().busy_time - busy_before).get() * 1e9;
+        self.occupant = Occupant::Demand(InService {
+            queued,
+            start_ns: now,
+        });
+        now + service_ns
+    }
+
+    /// Retires the demand transaction in service at `now` and frees the
+    /// lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no demand transaction is in service.
+    pub(crate) fn complete(&mut self, now: f64) -> InService {
+        let Occupant::Demand(served) = std::mem::replace(&mut self.occupant, Occupant::Idle) else {
+            panic!("completion without service");
+        };
+        self.stats.completed += 1;
+        self.stats.sojourn.observe(now - served.queued.arrival_ns);
+        served
     }
 }
 
