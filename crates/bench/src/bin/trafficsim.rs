@@ -57,8 +57,10 @@
 //!
 //! Run `trafficsim --help` for the full mode/flag table.
 
+use std::error::Error;
+use std::fmt;
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -797,31 +799,83 @@ fn march_sweep(ops_per_config: usize) -> Table {
     table
 }
 
+/// A file operation on external input or output that failed: what the
+/// binary was doing and why it could not. `main` reports it as
+/// `trafficsim: <what>: <cause>` and exits 2, like a bad flag.
+#[derive(Debug)]
+struct FileError {
+    /// The operation and its path, e.g. `read traces/a.csv`.
+    what: String,
+    /// The underlying I/O or parse error.
+    cause: Box<dyn Error>,
+}
+
+impl FileError {
+    /// Wraps an error of the operation `what`, for `map_err`.
+    fn of<E: Error + 'static>(what: impl fmt::Display) -> impl FnOnce(E) -> Self {
+        let what = what.to_string();
+        move |cause| Self {
+            what,
+            cause: Box::new(cause),
+        }
+    }
+}
+
+impl fmt::Display for FileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.what, self.cause)
+    }
+}
+
 /// `--convert IN OUT`: translate a trace between the CSV and binary
 /// on-disk formats, direction chosen by the *input* extension — `.csv`
 /// parses CSV and writes binary, anything else parses binary and writes
 /// CSV. Both formats round-trip losslessly (asserted by the integration
 /// proptests), so converting is safe to do in either direction repeatedly.
-fn convert(input: &str, output: &str) {
-    let trace = if input.ends_with(".csv") {
+/// Returns the number of transactions converted; nothing is written unless
+/// the input parsed.
+fn convert(input: &str, output: &str) -> Result<usize, FileError> {
+    let to_binary = input.ends_with(".csv");
+    let trace = if to_binary {
         let text =
-            std::fs::read_to_string(input).unwrap_or_else(|error| panic!("read {input}: {error}"));
-        Trace::from_csv(&text).unwrap_or_else(|error| panic!("parse {input}: {error}"))
+            std::fs::read_to_string(input).map_err(FileError::of(format!("read {input}")))?;
+        Trace::from_csv(&text).map_err(FileError::of(format!("parse {input}")))?
     } else {
-        let bytes = std::fs::read(input).unwrap_or_else(|error| panic!("read {input}: {error}"));
-        Trace::from_binary(&bytes).unwrap_or_else(|error| panic!("parse {input}: {error}"))
+        let bytes = std::fs::read(input).map_err(FileError::of(format!("read {input}")))?;
+        Trace::from_binary(&bytes).map_err(FileError::of(format!("parse {input}")))?
     };
-    if input.ends_with(".csv") {
-        std::fs::write(output, trace.to_binary())
-            .unwrap_or_else(|error| panic!("write {output}: {error}"));
+    let encoded = if to_binary {
+        trace.to_binary()
     } else {
-        std::fs::write(output, trace.to_csv())
-            .unwrap_or_else(|error| panic!("write {output}: {error}"));
-    }
-    println!(
-        "converted {input} -> {output} ({} transactions)",
-        trace.len()
-    );
+        trace.to_csv().into_bytes()
+    };
+    std::fs::write(output, encoded).map_err(FileError::of(format!("write {output}")))?;
+    Ok(trace.len())
+}
+
+/// Creates the CSV output directory (and its parents).
+fn create_csv_dir(csv_dir: &str) -> Result<(), FileError> {
+    std::fs::create_dir_all(csv_dir).map_err(FileError::of(format!("create directory {csv_dir}")))
+}
+
+/// Writes `table` to `csv_dir/file_name` and returns the path written.
+fn write_csv(table: &Table, csv_dir: &str, file_name: &str) -> Result<PathBuf, FileError> {
+    let path = Path::new(csv_dir).join(file_name);
+    let write = || -> std::io::Result<()> {
+        let mut file = std::fs::File::create(&path)?;
+        table.write_csv(&mut file)?;
+        file.flush()
+    };
+    write().map_err(FileError::of(format!("write {}", path.display())))?;
+    Ok(path)
+}
+
+/// Reports a failed file operation the way a bad flag is reported, and
+/// exits 2.
+fn exit_with(error: &FileError) -> ! {
+    eprintln!("trafficsim: {error}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }
 
 /// One-line synopsis printed alongside parse errors.
@@ -946,13 +1000,20 @@ fn main() {
         mode,
     } = cli;
 
+    if !matches!(mode, Mode::Help | Mode::Convert { .. }) {
+        // Fail on an unusable output directory before the sweep, not after.
+        create_csv_dir(&csv_dir).unwrap_or_else(|error| exit_with(&error));
+    }
     let (table, file_name) = match mode {
         Mode::Help => {
             println!("{HELP}");
             return;
         }
         Mode::Convert { input, output } => {
-            convert(&input, &output);
+            match convert(&input, &output) {
+                Ok(count) => println!("converted {input} -> {output} ({count} transactions)"),
+                Err(error) => exit_with(&error),
+            }
             return;
         }
         Mode::Topology => {
@@ -1012,12 +1073,10 @@ fn main() {
         }
     };
 
-    std::fs::create_dir_all(&csv_dir).expect("create results directory");
-    let path = Path::new(&csv_dir).join(file_name);
-    let mut file = std::fs::File::create(&path).expect("create CSV file");
-    table.write_csv(&mut file).expect("write CSV");
-    file.flush().expect("flush CSV");
-    println!("wrote {}", path.display());
+    match write_csv(&table, &csv_dir, file_name) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(error) => exit_with(&error),
+    }
 }
 
 #[cfg(test)]
@@ -1097,5 +1156,65 @@ mod tests {
         assert!(parse(&["--geometry", "not-a-geometry"]).is_err());
         assert!(parse(&["--convert", "only-one-path"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
+    }
+
+    /// A fresh, empty scratch directory for one file-handling test.
+    fn scratch_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("trafficsim-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch directory");
+        dir
+    }
+
+    #[test]
+    fn converting_a_missing_file_is_a_typed_error_and_writes_nothing() {
+        let dir = scratch_dir("missing");
+        let (input, output) = (dir.join("absent.csv"), dir.join("out.bin"));
+        let error = convert(input.to_str().unwrap(), output.to_str().unwrap()).unwrap_err();
+        assert_eq!(error.what, format!("read {}", input.display()));
+        let io = error
+            .cause
+            .downcast_ref::<std::io::Error>()
+            .expect("an I/O cause");
+        assert_eq!(io.kind(), std::io::ErrorKind::NotFound);
+        assert!(!output.exists(), "no output for a failed conversion");
+        std::fs::remove_dir_all(dir).expect("clean up");
+    }
+
+    #[test]
+    fn converting_a_malformed_csv_is_a_typed_error_and_writes_nothing() {
+        let dir = scratch_dir("malformed");
+        let (input, output) = (dir.join("bad.csv"), dir.join("out.bin"));
+        std::fs::write(&input, "bank,row,col\nxx").expect("write fixture");
+        let error = convert(input.to_str().unwrap(), output.to_str().unwrap()).unwrap_err();
+        assert_eq!(error.what, format!("parse {}", input.display()));
+        let parse = error
+            .cause
+            .downcast_ref::<stt_ctrl::TraceParseError>()
+            .expect("a trace parse cause");
+        assert_eq!(parse.line, 2);
+        assert_eq!(
+            error.to_string(),
+            format!(
+                "parse {}: trace line 2: expected 5 or 6 fields, got 1",
+                input.display()
+            )
+        );
+        assert!(!output.exists(), "no output for a failed conversion");
+        std::fs::remove_dir_all(dir).expect("clean up");
+    }
+
+    #[test]
+    fn an_unusable_csv_directory_is_a_typed_error() {
+        let dir = scratch_dir("unwritable");
+        let file = dir.join("a-file");
+        std::fs::write(&file, "").expect("write fixture");
+        let under_file = file.join("results");
+        let error = create_csv_dir(under_file.to_str().unwrap()).unwrap_err();
+        assert!(error.what.starts_with("create directory"), "{error}");
+        let error =
+            write_csv(&Table::new(["a"]), under_file.to_str().unwrap(), "x.csv").unwrap_err();
+        assert!(error.what.starts_with("write"), "{error}");
+        std::fs::remove_dir_all(dir).expect("clean up");
     }
 }

@@ -2,7 +2,7 @@
 //! channels × ranks × bank groups × banks topology.
 //!
 //! Structurally this is the scheduler frontend lifted one level: each
-//! *channel* runs its own discrete-event loop (own [`EventQueue`], own
+//! *channel* runs its own discrete-event loop (own event calendar, own
 //! lanes, own bus bookkeeping, own traffic source stream). The lanes are
 //! the frontend's lane core, so admission, FCFS dispatch and service are
 //! the same code in both engines; the channel loop adds only the bus
@@ -18,7 +18,8 @@
 //!
 //! Banks are materialised **lazily**: a multi-GB address space is fully
 //! addressable through the topology, but a bank allocates its array, truth
-//! mirror and RNG streams only when the first transaction touches it.
+//! mirror and RNG streams only when the first transaction touches it (until
+//! then its channel holds an empty slot for it).
 //! Because every bank's streams derive from `(chip seed, global bank
 //! index)`, the materialisation *order* is irrelevant — a bank behaves
 //! identically whether it was built first or last, on this thread or that.
@@ -35,7 +36,7 @@ use crate::engine::ControllerConfig;
 use crate::faults::{DriftPlan, FaultPlan};
 use crate::reliability::EccMode;
 use crate::retry::RetryPolicy;
-use crate::sched::event::EventQueue;
+use crate::sched::event::SlotCalendar;
 use crate::sched::policy::Policy;
 use crate::sched::queue::{Lane, Queued};
 use crate::telemetry::{BankTelemetry, ChannelTelemetry, LatencyBounds, QueueTelemetry};
@@ -302,10 +303,10 @@ impl ChipRun {
 
 /// Per-channel persistent state.
 struct ChannelState {
-    /// Resident banks, keyed by global bank index.
-    banks: BTreeMap<usize, Bank>,
-    /// Accumulated per-bank queueing counters (same keys as `banks`).
-    queues: BTreeMap<usize, QueueTelemetry>,
+    /// Resident banks, indexed by local bank (`None` until first touched).
+    banks: Vec<Option<Bank>>,
+    /// Accumulated per-bank queueing counters, indexed like `banks`.
+    queues: Vec<Option<QueueTelemetry>>,
     /// Accumulated channel engine counters.
     stats: ChannelTelemetry,
     /// Makespan of the most recent run (nanoseconds).
@@ -315,10 +316,12 @@ struct ChannelState {
 }
 
 impl ChannelState {
-    fn new() -> Self {
+    fn new(banks_per_channel: usize) -> Self {
         Self {
-            banks: BTreeMap::new(),
-            queues: BTreeMap::new(),
+            banks: std::iter::repeat_with(|| None)
+                .take(banks_per_channel)
+                .collect(),
+            queues: vec![None; banks_per_channel],
             stats: ChannelTelemetry::default(),
             last_end_ns: 0.0,
             last_completed: 0,
@@ -373,8 +376,9 @@ impl Chip {
     pub fn new(config: ChipConfig) -> Self {
         config.bus.validate();
         let bank_config = config.bank_config();
+        let banks_per_channel = config.topology.banks_per_channel();
         let channels = (0..config.topology.channels)
-            .map(|_| ChannelState::new())
+            .map(|_| ChannelState::new(banks_per_channel))
             .collect();
         Self {
             config,
@@ -392,7 +396,7 @@ impl Chip {
     /// Number of banks currently resident (materialised by traffic).
     #[must_use]
     pub fn resident_banks(&self) -> usize {
-        self.channels.iter().map(|c| c.banks.len()).sum()
+        self.resident().count()
     }
 
     /// The stored bits of every resident bank, keyed by global bank index
@@ -400,31 +404,45 @@ impl Chip {
     /// property compares.
     #[must_use]
     pub fn stored_state(&self) -> Vec<(usize, Vec<bool>)> {
+        self.resident()
+            .map(|(index, bank, _)| (index, bank.stored_bits()))
+            .collect()
+    }
+
+    /// Every resident bank in global bank order, with its global index and
+    /// accumulated queueing counters.
+    fn resident(&self) -> impl Iterator<Item = (usize, &Bank, Option<&QueueTelemetry>)> + '_ {
+        let per_channel = self.config.topology.banks_per_channel();
         self.channels
             .iter()
-            .flat_map(|channel| {
-                channel
+            .enumerate()
+            .flat_map(move |(channel, state)| {
+                state
                     .banks
                     .iter()
-                    .map(|(&index, bank)| (index, bank.stored_bits()))
+                    .zip(&state.queues)
+                    .enumerate()
+                    .filter_map(move |(local, (bank, queue))| {
+                        Some((
+                            channel * per_channel + local,
+                            bank.as_ref()?,
+                            queue.as_ref(),
+                        ))
+                    })
             })
-            .collect()
     }
 
     /// A telemetry snapshot of everything accumulated so far.
     #[must_use]
     pub fn telemetry(&self) -> ChipTelemetry {
         let banks = self
-            .channels
-            .iter()
-            .flat_map(|channel| {
-                channel.banks.iter().map(|(&index, bank)| {
-                    let mut telemetry = bank.telemetry().clone();
-                    if let Some(queue) = channel.queues.get(&index) {
-                        telemetry.queue = queue.clone();
-                    }
-                    (self.config.topology.coord(index), telemetry)
-                })
+            .resident()
+            .map(|(index, bank, queue)| {
+                let mut telemetry = bank.telemetry().clone();
+                if let Some(queue) = queue {
+                    telemetry.queue = queue.clone();
+                }
+                (self.config.topology.coord(index), telemetry)
             })
             .collect();
         ChipTelemetry {
@@ -432,10 +450,8 @@ impl Chip {
             banks,
             channels: self.channels.iter().map(|c| c.stats.clone()).collect(),
             audit_corrupted_bits: self
-                .channels
-                .iter()
-                .flat_map(|c| c.banks.values())
-                .map(Bank::audit_corrupted_bits)
+                .resident()
+                .map(|(_, bank, _)| bank.audit_corrupted_bits())
                 .sum(),
         }
     }
@@ -524,7 +540,8 @@ impl Chip {
     }
 }
 
-/// What one channel's event loop reacts to.
+/// What one channel's event loop reacts to. The source's events live in
+/// calendar slot [`SOURCE_SLOT`], local bank `b`'s in slot `1 + b`.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// The next open-loop trace transaction arrives.
@@ -532,40 +549,63 @@ enum Event {
     /// The closed-loop source attempts to issue.
     Issue,
     /// A bank's array access finished; the transfer now claims its buses.
-    BankDone { bank: usize },
+    BankDone,
     /// The transfer crossed both buses; the transaction is complete and the
     /// bank is free.
-    Complete { bank: usize },
+    Complete,
 }
 
-/// Everything one channel's event loop owns while it runs.
+/// The calendar slot of a channel's traffic source. Each bank's slot holds
+/// at most one event because its lane stays occupied from service start
+/// until the bus transfer completes; the source has one `Arrive` or
+/// `Issue` in flight at a time.
+const SOURCE_SLOT: usize = 0;
+
+/// Everything one channel's event loop owns while it runs. Banks are
+/// addressed by *local* index (global index minus the channel's first).
 struct ChannelSim<'a> {
     config: &'a ChipConfig,
     bank_config: &'a ControllerConfig,
     geometry: Geometry,
     channel: usize,
-    lanes: BTreeMap<usize, Lane>,
-    events: EventQueue<Event>,
+    /// Global index of the channel's local bank 0.
+    first_bank: usize,
+    /// This run's lanes, materialised with their banks' first offer.
+    lanes: Vec<Option<Lane>>,
+    events: SlotCalendar<Event>,
     stats: ChannelTelemetry,
     /// Bus-free times: one per (rank, group) pair, plus the channel bus.
     group_bus_free: Vec<f64>,
     channel_bus_free: f64,
+    /// Each local bank's index into `group_bus_free`.
+    group_of: Vec<usize>,
     outstanding: usize,
     end_ns: f64,
 }
 
 impl<'a> ChannelSim<'a> {
     fn new(config: &'a ChipConfig, bank_config: &'a ControllerConfig, channel: usize) -> Self {
+        let topology = config.topology;
+        let per_channel = topology.banks_per_channel();
+        let first_bank = channel * per_channel;
+        let group_of = (first_bank..first_bank + per_channel)
+            .map(|bank| {
+                let coord = topology.coord(bank);
+                coord.rank * topology.groups + coord.group
+            })
+            .collect();
         Self {
             config,
             bank_config,
             geometry: config.geometry(),
             channel,
-            lanes: BTreeMap::new(),
-            events: EventQueue::new(),
+            first_bank,
+            lanes: std::iter::repeat_with(|| None).take(per_channel).collect(),
+            events: SlotCalendar::new(1 + per_channel),
             stats: ChannelTelemetry::default(),
-            group_bus_free: vec![0.0; config.topology.ranks * config.topology.groups],
+            group_bus_free: vec![0.0; topology.ranks * topology.groups],
             channel_bus_free: 0.0,
+            group_of,
             outstanding: 0,
             end_ns: 0.0,
         }
@@ -575,7 +615,7 @@ impl<'a> ChannelSim<'a> {
     /// if this is its first touch, then serves or queues.
     fn offer(
         &mut self,
-        banks: &mut BTreeMap<usize, Bank>,
+        banks: &mut [Option<Bank>],
         txn: Transaction,
         trace_index: usize,
         now: f64,
@@ -588,13 +628,9 @@ impl<'a> ChannelSim<'a> {
         self.stats.issued += 1;
         self.outstanding += 1;
         self.stats.max_outstanding = self.stats.max_outstanding.max(self.outstanding as u64);
-        let bank = banks
-            .entry(txn.bank)
-            .or_insert_with(|| Bank::new(txn.bank, self.bank_config));
-        let lane = self
-            .lanes
-            .entry(txn.bank)
-            .or_insert_with(|| Lane::new(usize::MAX, 0));
+        let local = txn.bank - self.first_bank;
+        let bank = banks[local].get_or_insert_with(|| Bank::new(txn.bank, self.bank_config));
+        let lane = self.lanes[local].get_or_insert_with(|| Lane::new(usize::MAX, 0));
         let queued = Queued {
             txn,
             trace_index,
@@ -602,50 +638,51 @@ impl<'a> ChannelSim<'a> {
             admit_ns: now,
         };
         if let Some(done) = lane.admit(bank, &self.bank_config.faults, queued, now) {
-            let bank = txn.bank;
-            self.events.schedule(done, Event::BankDone { bank });
+            self.events.schedule(1 + local, done, Event::BankDone);
         }
     }
 
     /// A finished array access claims its group and channel buses: the
     /// transfer starts when both are free, holds both for the full burst,
     /// and completes the transaction when it ends.
-    fn claim_buses(&mut self, bank: usize, now: f64) {
-        let coord = self.config.topology.coord(bank);
-        let group_slot = coord.rank * self.config.topology.groups + coord.group;
+    fn claim_buses(&mut self, local: usize, now: f64) {
+        let group = self.group_of[local];
         let start = now
-            .max(self.group_bus_free[group_slot])
+            .max(self.group_bus_free[group])
             .max(self.channel_bus_free);
         let burst_ns = self.config.bus.group_bus_ns + self.config.bus.channel_bus_ns;
         let done = start + burst_ns;
         self.stats.bus_wait_ns += start - now;
         self.stats.bus_busy_ns += burst_ns;
-        self.group_bus_free[group_slot] = done;
+        self.group_bus_free[group] = done;
         self.channel_bus_free = done;
-        self.events.schedule(done, Event::Complete { bank });
+        self.events.schedule(1 + local, done, Event::Complete);
     }
 
     /// Retires the completed transaction and starts the bank's next one
     /// (chip lanes dispatch FCFS).
-    fn complete(&mut self, banks: &mut BTreeMap<usize, Bank>, bank: usize, now: f64) {
-        let lane = self.lanes.get_mut(&bank).expect("completion without lane");
+    fn complete(&mut self, banks: &mut [Option<Bank>], local: usize, now: f64) {
+        let lane = self.lanes[local].as_mut().expect("completion without lane");
         lane.complete(now);
         self.stats.completed += 1;
         self.outstanding -= 1;
         self.end_ns = self.end_ns.max(now);
-        let bank_state = banks.get_mut(&bank).expect("completion without bank");
+        let bank = banks[local].as_mut().expect("completion without bank");
         let faults = &self.bank_config.faults;
-        if let Some(done) = lane.dispatch(bank_state, faults, Policy::Fcfs, now) {
-            self.events.schedule(done, Event::BankDone { bank });
+        if let Some(done) = lane.dispatch(bank, faults, Policy::Fcfs, now) {
+            self.events.schedule(1 + local, done, Event::BankDone);
         }
     }
 
     /// Flushes per-lane occupancy integrals and folds this run's counters
     /// into the channel's persistent state.
     fn finish(mut self, state: &mut ChannelState) {
-        for (index, lane) in &mut self.lanes {
-            let stats = lane.seal(self.end_ns);
-            state.queues.entry(*index).or_default().merge(stats);
+        for (lane, queue) in self.lanes.iter_mut().zip(&mut state.queues) {
+            if let Some(lane) = lane {
+                queue
+                    .get_or_insert_with(QueueTelemetry::default)
+                    .merge(lane.seal(self.end_ns));
+            }
         }
         self.stats.horizon_ns = self.end_ns;
         state.stats.merge(&self.stats);
@@ -676,13 +713,14 @@ fn run_channel(
     let mut throttled = false;
 
     if let Some((_, first)) = trace.first() {
-        sim.events.schedule(first.arrival_ns as f64, Event::Arrive);
+        sim.events
+            .schedule(SOURCE_SLOT, first.arrival_ns as f64, Event::Arrive);
     }
     if source.is_some_and(|s| s.ops_per_channel > 0) {
-        sim.events.schedule(0.0, Event::Issue);
+        sim.events.schedule(SOURCE_SLOT, 0.0, Event::Issue);
     }
 
-    while let Some((now, event)) = sim.events.pop() {
+    while let Some((now, slot, event)) = sim.events.pop() {
         match event {
             Event::Arrive => {
                 let (trace_index, txn) = trace[cursor];
@@ -691,8 +729,8 @@ fn run_channel(
                 if let Some((_, next)) = trace.get(cursor) {
                     // Arrivals are pre-sorted; the max() only guards float
                     // identity for equal timestamps.
-                    sim.events
-                        .schedule((next.arrival_ns as f64).max(now), Event::Arrive);
+                    let at = (next.arrival_ns as f64).max(now);
+                    sim.events.schedule(SOURCE_SLOT, at, Event::Arrive);
                 }
             }
             Event::Issue => {
@@ -709,20 +747,20 @@ fn run_channel(
                 sim.offer(banks, txn, issued, now);
                 issued += 1;
                 if issued < source.ops_per_channel {
-                    sim.events
-                        .schedule(now + source.next_think_ns(rng), Event::Issue);
+                    let at = now + source.next_think_ns(rng);
+                    sim.events.schedule(SOURCE_SLOT, at, Event::Issue);
                 }
             }
-            Event::BankDone { bank } => sim.claim_buses(bank, now),
-            Event::Complete { bank } => {
-                sim.complete(banks, bank, now);
+            Event::BankDone => sim.claim_buses(slot - 1, now),
+            Event::Complete => {
+                sim.complete(banks, slot - 1, now);
                 if throttled {
                     let source = source.expect("throttled without a source");
                     if issued < source.ops_per_channel {
                         throttled = false;
                         let rng = source_rng.as_mut().expect("throttled without a stream");
-                        sim.events
-                            .schedule(now + source.next_think_ns(rng), Event::Issue);
+                        let at = now + source.next_think_ns(rng);
+                        sim.events.schedule(SOURCE_SLOT, at, Event::Issue);
                     }
                 }
             }

@@ -33,7 +33,7 @@ use crate::reliability::ScrubConfig;
 use crate::telemetry::{QueueTelemetry, SojournStats, Telemetry};
 use crate::txn::{Op, Transaction, TxnSource};
 
-use super::event::EventQueue;
+use super::event::{EventQueue, SlotCalendar};
 use super::policy::{Policy, PriorityClass};
 use super::queue::{InService, Lane, Occupant, ParkedRetry, Queued};
 
@@ -800,11 +800,11 @@ impl Frontend {
         // configuration (it is also the serial-replay anchor): backpressure
         // can never fire, banks never interact, and the only event kinds
         // are fresh arrivals and completions. That specialisation replaces
-        // the event heap with a sorted-arrival cursor merged against one
-        // pending-completion slot per bank, and the shared slab queue with
+        // the event heap with a slot calendar (one slot for the sorted
+        // arrival stream, one per bank), and the shared slab queue with
         // lane-local FIFO rings, preserving the heap's exact `(time, seq)`
         // pop order — see DESIGN.md §12. The bank-count gate bounds the
-        // per-event completion-slot scan.
+        // per-event slot scan.
         let fast_path = matches!(policy, Policy::Fcfs)
             && queue_depth == usize::MAX
             && scrub.is_none()
@@ -834,7 +834,7 @@ impl Frontend {
         let mut end_ns = 0.0f64;
 
         if fast_path {
-            let mut slots = vec![CompletionSlot::idle(); bank_count];
+            let mut events = SlotCalendar::new(1 + bank_count);
             let mut rings: Vec<VecDeque<FastQueued>> = bank_load
                 .iter()
                 .map(|&load| VecDeque::with_capacity(load))
@@ -846,7 +846,7 @@ impl Frontend {
                 &mut lanes,
                 banks,
                 &faults,
-                &mut slots,
+                &mut events,
                 &mut rings,
                 &mut completions,
             );
@@ -1066,40 +1066,13 @@ fn schedule_fresh<S: TxnSource + ?Sized>(
 }
 
 /// Widest controller the FCFS-unbounded fast path serves: each event pops
-/// via a linear scan of the per-bank completion slots, so the scan must
-/// stay trivially cheap. Wider controllers fall back to the event heap.
+/// via a linear scan of the per-bank calendar slots, so the scan must stay
+/// trivially cheap. Wider controllers fall back to the event heap.
 const FAST_PATH_MAX_BANKS: usize = 16;
 
-/// One bank's pending completion in the fast path: the instant service
-/// finishes, plus the sequence number the equivalent heap event would have
-/// carried (the tie-breaker that keeps pop order bit-compatible with the
-/// general loop).
-///
-/// Packed as `(time_ns.to_bits() << 64) | seq`: every instant the loop
-/// schedules is non-negative and non-NaN, and over those floats IEEE-754
-/// bit order equals numeric order — so a single `u128` compare reproduces
-/// the heap's `(time, seq)` lexicographic pop order branchlessly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct CompletionSlot {
-    key: u128,
-}
-
-impl CompletionSlot {
-    fn new(time_ns: f64, seq: u64) -> Self {
-        debug_assert!(time_ns >= 0.0, "event instants are non-negative");
-        Self {
-            key: (u128::from(time_ns.to_bits()) << 64) | u128::from(seq),
-        }
-    }
-
-    fn idle() -> Self {
-        Self::new(f64::INFINITY, u64::MAX)
-    }
-
-    fn time_ns(self) -> f64 {
-        f64::from_bits((self.key >> 64) as u64)
-    }
-}
+/// The fast path's calendar slot for the fresh-arrival stream; bank `b`
+/// completes in slot `1 + b`.
+const ARRIVAL_SLOT: usize = 0;
 
 /// Fast-path queue entry: the transaction is re-decoded from the trace at
 /// dispatch time, so a waiting ring holds 16 bytes per entry instead of a
@@ -1115,16 +1088,16 @@ struct FastQueued {
 /// unbounded queue depth with no background source (DESIGN.md §12).
 ///
 /// Under that configuration backpressure can never fire and the only
-/// event kinds are fresh arrivals — already sorted in `order` — and bank
-/// completions, of which at most one per bank is pending. The heap
-/// therefore collapses to a cursor over `order` merged against
-/// `bank_count` completion slots by `(time, seq)`, with sequence numbers
-/// assigned at exactly the points the general loop calls
-/// `EventQueue::schedule`. Service starts and completions go through the
-/// same lane core as the general loop, so pop order, per-lane telemetry,
-/// completion-log order and bank state are bit-identical to it — the
-/// integration suite asserts it by replaying the same trace down both
-/// paths. Returns the run horizon.
+/// event kinds are fresh arrivals — already sorted in `order`, one pending
+/// at a time — and bank completions, of which at most one per bank is
+/// pending. The heap therefore collapses to a [`SlotCalendar`]: slot 0
+/// holds the next fresh arrival, slot `1 + bank` the bank's completion,
+/// and the calendar is scheduled at exactly the points the general loop
+/// calls `EventQueue::schedule`. Service starts and completions go through
+/// the same lane core as the general loop, so pop order, per-lane
+/// telemetry, completion-log order and bank state are bit-identical to it
+/// — the integration suite asserts it by replaying the same trace down
+/// both paths. Returns the run horizon.
 // The arguments are the loop's working set, preallocated by the caller so
 // the loop itself stays allocation-free; a bundling struct would only
 // rename the problem.
@@ -1135,7 +1108,7 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
     lanes: &mut [Lane],
     banks: &mut [Bank],
     faults: &FaultPlan,
-    slots: &mut [CompletionSlot],
+    events: &mut SlotCalendar<()>,
     rings: &mut [VecDeque<FastQueued>],
     completions: &mut CompletionLog,
 ) -> f64 {
@@ -1143,32 +1116,17 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
         return 0.0;
     };
     let mut end_ns = 0.0f64;
-    // The one pending fresh arrival (mirrors `schedule_fresh`); idle (time
-    // = INFINITY) once the trace is exhausted. The transaction itself is
-    // cached so the handler does not decode it a second time.
+    // The one pending fresh arrival (mirrors `schedule_fresh`). The
+    // transaction itself is cached so the handler does not decode it a
+    // second time.
     let mut arr_index = first as usize;
     let mut arr_txn = trace.get(arr_index);
-    let mut arr_slot = CompletionSlot::new((arr_txn.arrival_ns as f64).max(0.0), 0);
-    let mut next_seq = 1u64;
+    events.schedule(ARRIVAL_SLOT, (arr_txn.arrival_ns as f64).max(0.0), ());
     let mut cursor = 1usize;
-    loop {
-        // Earliest pending event by (time, seq) — the heap's exact pop
-        // order, found by scanning one arrival and ≤ bank_count slots.
-        let mut bank = usize::MAX;
-        let mut best = arr_slot;
-        for (b, slot) in slots.iter().enumerate() {
-            if *slot < best {
-                bank = b;
-                best = *slot;
-            }
-        }
-        if best == CompletionSlot::idle() {
-            break;
-        }
-        let now = best.time_ns();
+    while let Some((now, slot, ())) = events.pop() {
         // Events pop in time order, so the horizon only ever advances.
         end_ns = now;
-        if bank == usize::MAX {
+        if slot == ARRIVAL_SLOT {
             // Fresh arrival (Event::Arrive with fresh = true).
             let b = arr_txn.bank;
             let lane = &mut lanes[b];
@@ -1177,8 +1135,7 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
                 // Idle bank, empty queue: straight into service.
                 let queued = admitted(arr_txn, arr_index, now);
                 let complete_ns = lane.serve(&mut banks[b], faults, queued, now);
-                slots[b] = CompletionSlot::new(complete_ns, next_seq);
-                next_seq += 1;
+                events.schedule(1 + b, complete_ns, ());
             } else {
                 // `Lane::admit` against the lane-local FIFO ring: same
                 // counter and depth-integral updates, no slab indirection.
@@ -1195,15 +1152,12 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
                 cursor += 1;
                 arr_index = next as usize;
                 arr_txn = trace.get(arr_index);
-                arr_slot = CompletionSlot::new((arr_txn.arrival_ns as f64).max(now), next_seq);
-                next_seq += 1;
-            } else {
-                arr_slot = CompletionSlot::idle();
+                events.schedule(ARRIVAL_SLOT, (arr_txn.arrival_ns as f64).max(now), ());
             }
         } else {
             // Event::Complete, then `Lane::dispatch` under FCFS: the ring's
             // head is the choice.
-            slots[bank] = CompletionSlot::idle();
+            let bank = slot - 1;
             let lane = &mut lanes[bank];
             completions.push(Completion::of(lane.complete(now), bank, now));
             lane.stats.depth_time_ns += rings[bank].len() as f64 * (now - lane.last_change_ns);
@@ -1212,8 +1166,7 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
                 let index = head.trace_index as usize;
                 let queued = admitted(trace.get(index), index, head.admit_ns);
                 let complete_ns = lane.serve(&mut banks[bank], faults, queued, now);
-                slots[bank] = CompletionSlot::new(complete_ns, next_seq);
-                next_seq += 1;
+                events.schedule(slot, complete_ns, ());
             }
         }
     }

@@ -13,7 +13,9 @@
 //! simulation:
 //!
 //! * [`EventQueue`] — a deterministic min-heap of timestamped events
-//!   (insertion-order tie-breaking, NaN-free by construction).
+//!   (insertion-order tie-breaking, NaN-free by construction). Loops with
+//!   at most one pending event per source (the FCFS fast path, the chip's
+//!   channel loop) use a fixed-slot calendar under the same event order.
 //! * [`BankQueue`] — bounded per-bank admission queues that encode the
 //!   per-address ordering rule every policy must obey.
 //! * The lane core (`queue::Lane`) — one bank's queue, service-stage

@@ -28,9 +28,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stt_ctrl::{
     Backpressure, CalibConfig, Chip, ChipConfig, ClosedLoopSource, Controller, ControllerConfig,
-    Dispatch, DriftPlan, EccMode, FaultPlan, Frontend, FrontendConfig, MarchAlgorithm, MarchConfig,
-    Policy, QueueTelemetry, SchedRun, ScrubConfig, ShardDispatch, ThermalTransient, Topology,
-    Trace, Workload,
+    Dispatch, DriftPlan, EccMode, FaultPlan, Frontend, FrontendConfig, InterleavePolicy,
+    MarchAlgorithm, MarchConfig, Policy, QueueTelemetry, SchedRun, ScrubConfig, ShardDispatch,
+    ThermalTransient, Topology, Trace, Workload,
 };
 use stt_sense::SchemeKind;
 
@@ -473,4 +473,47 @@ fn serial_closed_loop_chip_is_pinned() {
         .map(|channel| channel.bus_wait_ns)
         .sum();
     assert_pinned_ns("bus wait", bus_wait_ns, 439.356_769_231_961_15);
+}
+
+/// Pinned regression: a serial open-loop chip replay. Arrivals come in
+/// bursts of six at the same instant on a 30 ns grid, so equal-time
+/// arrivals, bank completions and bus-transfer completions all tie and the
+/// channel loop's insertion-order tie-break decides what runs first.
+#[test]
+fn serial_open_loop_chip_replay_is_pinned() {
+    let config =
+        ChipConfig::small(SchemeKind::Nondestructive, Topology::new(2, 1, 2, 2)).with_seed(1414);
+    let trace = Workload::Uniform { read_fraction: 0.7 }.generate_physical(
+        &config.geometry(),
+        InterleavePolicy::ChannelStriped,
+        1_200,
+        &mut StdRng::seed_from_u64(15),
+    );
+    let bursty = Trace::from_transactions(
+        trace
+            .transactions()
+            .iter()
+            .enumerate()
+            .map(|(i, txn)| txn.at(30 * (i as u64 / 6)))
+            .collect(),
+    );
+    let run = Chip::new(config).run_trace(&bursty, ShardDispatch::Serial);
+    let aggregate = run.telemetry.aggregate();
+    let max_depths: Vec<u64> = run
+        .telemetry
+        .banks
+        .iter()
+        .map(|(_, bank)| bank.queue.max_depth)
+        .collect();
+    let bus_wait_ns: f64 = run
+        .telemetry
+        .channels
+        .iter()
+        .map(|channel| channel.bus_wait_ns)
+        .sum();
+    assert_eq!(run.completed, 1_200);
+    assert_eq!(max_depths, [3, 4, 3, 5, 3, 4, 5, 3]);
+    assert_eq!(aggregate.read_retries, 87);
+    assert_pinned_ns("makespan", run.makespan_ns, 6_068.0);
+    assert_pinned_ns("bus wait", bus_wait_ns, 2_908.0);
 }
