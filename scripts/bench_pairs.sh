@@ -34,7 +34,7 @@ root="$(pwd)"
 seconds="${5:-$(grep -o '"run_seconds": *[0-9.]*' BENCHMARK.json | grep -o '[0-9.]*$')}"
 
 work="$(mktemp -d)"
-parent_dir="$work/parent"
+parent_dir="$work/tree"
 cleanup() {
     git -C "$root" worktree remove --force "$parent_dir" 2> /dev/null || true
     rm -rf "$work"
