@@ -19,7 +19,8 @@
 //! Banks are materialised **lazily**: a multi-GB address space is fully
 //! addressable through the topology, but a bank allocates its array, truth
 //! mirror and RNG streams only when the first transaction touches it (until
-//! then its channel holds an empty slot for it).
+//! then its channel keeps a four-byte index entry for it, so memory grows
+//! with the banks the traffic touches).
 //! Because every bank's streams derive from `(chip seed, global bank
 //! index)`, the materialisation *order* is irrelevant — a bank behaves
 //! identically whether it was built first or last, on this thread or that.
@@ -301,12 +302,26 @@ impl ChipRun {
     }
 }
 
+/// A materialised bank and what its channel keeps for it.
+struct Resident {
+    bank: Bank,
+    /// Accumulated queueing counters.
+    queue: QueueTelemetry,
+    /// The bank's (rank, group) bus: its index into
+    /// `ChannelSim::group_bus_free`.
+    group_bus: usize,
+}
+
+/// Marks a local bank no transaction has touched yet.
+const UNTOUCHED: u32 = u32::MAX;
+
 /// Per-channel persistent state.
 struct ChannelState {
-    /// Resident banks, indexed by local bank (`None` until first touched).
-    banks: Vec<Option<Bank>>,
-    /// Accumulated per-bank queueing counters, indexed like `banks`.
-    queues: Vec<Option<QueueTelemetry>>,
+    /// Each local bank's index into `resident`, [`UNTOUCHED`] until its
+    /// first transaction — four bytes per addressable bank.
+    slot_of: Vec<u32>,
+    /// Materialised banks in first-touch order.
+    resident: Vec<Resident>,
     /// Accumulated channel engine counters.
     stats: ChannelTelemetry,
     /// Makespan of the most recent run (nanoseconds).
@@ -318,10 +333,8 @@ struct ChannelState {
 impl ChannelState {
     fn new(banks_per_channel: usize) -> Self {
         Self {
-            banks: std::iter::repeat_with(|| None)
-                .take(banks_per_channel)
-                .collect(),
-            queues: vec![None; banks_per_channel],
+            slot_of: vec![UNTOUCHED; banks_per_channel],
+            resident: Vec::new(),
             stats: ChannelTelemetry::default(),
             last_end_ns: 0.0,
             last_completed: 0,
@@ -405,29 +418,27 @@ impl Chip {
     #[must_use]
     pub fn stored_state(&self) -> Vec<(usize, Vec<bool>)> {
         self.resident()
-            .map(|(index, bank, _)| (index, bank.stored_bits()))
+            .map(|(index, resident)| (index, resident.bank.stored_bits()))
             .collect()
     }
 
-    /// Every resident bank in global bank order, with its global index and
-    /// accumulated queueing counters.
-    fn resident(&self) -> impl Iterator<Item = (usize, &Bank, Option<&QueueTelemetry>)> + '_ {
+    /// Every resident bank in global bank order, with its global index.
+    fn resident(&self) -> impl Iterator<Item = (usize, &Resident)> + '_ {
         let per_channel = self.config.topology.banks_per_channel();
         self.channels
             .iter()
             .enumerate()
             .flat_map(move |(channel, state)| {
                 state
-                    .banks
+                    .slot_of
                     .iter()
-                    .zip(&state.queues)
                     .enumerate()
-                    .filter_map(move |(local, (bank, queue))| {
-                        Some((
+                    .filter(|&(_, &slot)| slot != UNTOUCHED)
+                    .map(move |(local, &slot)| {
+                        (
                             channel * per_channel + local,
-                            bank.as_ref()?,
-                            queue.as_ref(),
-                        ))
+                            &state.resident[slot as usize],
+                        )
                     })
             })
     }
@@ -437,11 +448,9 @@ impl Chip {
     pub fn telemetry(&self) -> ChipTelemetry {
         let banks = self
             .resident()
-            .map(|(index, bank, queue)| {
-                let mut telemetry = bank.telemetry().clone();
-                if let Some(queue) = queue {
-                    telemetry.queue = queue.clone();
-                }
+            .map(|(index, resident)| {
+                let mut telemetry = resident.bank.telemetry().clone();
+                telemetry.queue = resident.queue.clone();
                 (self.config.topology.coord(index), telemetry)
             })
             .collect();
@@ -451,7 +460,7 @@ impl Chip {
             channels: self.channels.iter().map(|c| c.stats.clone()).collect(),
             audit_corrupted_bits: self
                 .resident()
-                .map(|(_, bank, _)| bank.audit_corrupted_bits())
+                .map(|(_, resident)| resident.bank.audit_corrupted_bits())
                 .sum(),
         }
     }
@@ -541,7 +550,8 @@ impl Chip {
 }
 
 /// What one channel's event loop reacts to. The source's events live in
-/// calendar slot [`SOURCE_SLOT`], local bank `b`'s in slot `1 + b`.
+/// calendar slot [`SOURCE_SLOT`], the events of the bank at
+/// `ChannelState::resident[i]` in slot `1 + i`.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// The next open-loop trace transaction arrives.
@@ -562,50 +572,45 @@ enum Event {
 const SOURCE_SLOT: usize = 0;
 
 /// Everything one channel's event loop owns while it runs. Banks are
-/// addressed by *local* index (global index minus the channel's first).
+/// addressed by their index into `ChannelState::resident`.
 struct ChannelSim<'a> {
     config: &'a ChipConfig,
     bank_config: &'a ControllerConfig,
     geometry: Geometry,
     channel: usize,
-    /// Global index of the channel's local bank 0.
+    /// Global index of the channel's first bank.
     first_bank: usize,
-    /// This run's lanes, materialised with their banks' first offer.
+    /// This run's lanes, indexed like `ChannelState::resident`; `None`
+    /// until the bank's first offer of the run.
     lanes: Vec<Option<Lane>>,
     events: SlotCalendar<Event>,
     stats: ChannelTelemetry,
     /// Bus-free times: one per (rank, group) pair, plus the channel bus.
     group_bus_free: Vec<f64>,
     channel_bus_free: f64,
-    /// Each local bank's index into `group_bus_free`.
-    group_of: Vec<usize>,
     outstanding: usize,
     end_ns: f64,
 }
 
 impl<'a> ChannelSim<'a> {
-    fn new(config: &'a ChipConfig, bank_config: &'a ControllerConfig, channel: usize) -> Self {
+    fn new(
+        config: &'a ChipConfig,
+        bank_config: &'a ControllerConfig,
+        channel: usize,
+        resident: usize,
+    ) -> Self {
         let topology = config.topology;
-        let per_channel = topology.banks_per_channel();
-        let first_bank = channel * per_channel;
-        let group_of = (first_bank..first_bank + per_channel)
-            .map(|bank| {
-                let coord = topology.coord(bank);
-                coord.rank * topology.groups + coord.group
-            })
-            .collect();
         Self {
             config,
             bank_config,
             geometry: config.geometry(),
             channel,
-            first_bank,
-            lanes: std::iter::repeat_with(|| None).take(per_channel).collect(),
-            events: SlotCalendar::new(1 + per_channel),
+            first_bank: channel * topology.banks_per_channel(),
+            lanes: std::iter::repeat_with(|| None).take(resident).collect(),
+            events: SlotCalendar::new(1 + resident),
             stats: ChannelTelemetry::default(),
             group_bus_free: vec![0.0; topology.ranks * topology.groups],
             channel_bus_free: 0.0,
-            group_of,
             outstanding: 0,
             end_ns: 0.0,
         }
@@ -613,13 +618,7 @@ impl<'a> ChannelSim<'a> {
 
     /// Offers one transaction to its bank at `now`: materialises the bank
     /// if this is its first touch, then serves or queues.
-    fn offer(
-        &mut self,
-        banks: &mut [Option<Bank>],
-        txn: Transaction,
-        trace_index: usize,
-        now: f64,
-    ) {
+    fn offer(&mut self, state: &mut ChannelState, txn: Transaction, trace_index: usize, now: f64) {
         debug_assert_eq!(
             self.config.topology.coord(txn.bank).channel,
             self.channel,
@@ -629,8 +628,21 @@ impl<'a> ChannelSim<'a> {
         self.outstanding += 1;
         self.stats.max_outstanding = self.stats.max_outstanding.max(self.outstanding as u64);
         let local = txn.bank - self.first_bank;
-        let bank = banks[local].get_or_insert_with(|| Bank::new(txn.bank, self.bank_config));
-        let lane = self.lanes[local].get_or_insert_with(|| Lane::new(usize::MAX, 0));
+        if state.slot_of[local] == UNTOUCHED {
+            let coord = self.config.topology.coord(txn.bank);
+            state.slot_of[local] =
+                u32::try_from(state.resident.len()).expect("fewer than 2^32 banks per channel");
+            state.resident.push(Resident {
+                bank: Bank::new(txn.bank, self.bank_config),
+                queue: QueueTelemetry::default(),
+                group_bus: coord.rank * self.config.topology.groups + coord.group,
+            });
+            self.lanes.push(None);
+            self.events.add_slot();
+        }
+        let slot = state.slot_of[local] as usize;
+        let bank = &mut state.resident[slot].bank;
+        let lane = self.lanes[slot].get_or_insert_with(|| Lane::new(usize::MAX, 0));
         let queued = Queued {
             txn,
             trace_index,
@@ -638,15 +650,15 @@ impl<'a> ChannelSim<'a> {
             admit_ns: now,
         };
         if let Some(done) = lane.admit(bank, &self.bank_config.faults, queued, now) {
-            self.events.schedule(1 + local, done, Event::BankDone);
+            self.events.schedule(1 + slot, done, Event::BankDone);
         }
     }
 
     /// A finished array access claims its group and channel buses: the
     /// transfer starts when both are free, holds both for the full burst,
     /// and completes the transaction when it ends.
-    fn claim_buses(&mut self, local: usize, now: f64) {
-        let group = self.group_of[local];
+    fn claim_buses(&mut self, state: &ChannelState, slot: usize, now: f64) {
+        let group = state.resident[slot].group_bus;
         let start = now
             .max(self.group_bus_free[group])
             .max(self.channel_bus_free);
@@ -656,32 +668,30 @@ impl<'a> ChannelSim<'a> {
         self.stats.bus_busy_ns += burst_ns;
         self.group_bus_free[group] = done;
         self.channel_bus_free = done;
-        self.events.schedule(1 + local, done, Event::Complete);
+        self.events.schedule(1 + slot, done, Event::Complete);
     }
 
     /// Retires the completed transaction and starts the bank's next one
     /// (chip lanes dispatch FCFS).
-    fn complete(&mut self, banks: &mut [Option<Bank>], local: usize, now: f64) {
-        let lane = self.lanes[local].as_mut().expect("completion without lane");
+    fn complete(&mut self, state: &mut ChannelState, slot: usize, now: f64) {
+        let lane = self.lanes[slot].as_mut().expect("completion without lane");
         lane.complete(now);
         self.stats.completed += 1;
         self.outstanding -= 1;
         self.end_ns = self.end_ns.max(now);
-        let bank = banks[local].as_mut().expect("completion without bank");
+        let bank = &mut state.resident[slot].bank;
         let faults = &self.bank_config.faults;
         if let Some(done) = lane.dispatch(bank, faults, Policy::Fcfs, now) {
-            self.events.schedule(1 + local, done, Event::BankDone);
+            self.events.schedule(1 + slot, done, Event::BankDone);
         }
     }
 
     /// Flushes per-lane occupancy integrals and folds this run's counters
     /// into the channel's persistent state.
     fn finish(mut self, state: &mut ChannelState) {
-        for (lane, queue) in self.lanes.iter_mut().zip(&mut state.queues) {
+        for (lane, resident) in self.lanes.iter_mut().zip(&mut state.resident) {
             if let Some(lane) = lane {
-                queue
-                    .get_or_insert_with(QueueTelemetry::default)
-                    .merge(lane.seal(self.end_ns));
+                resident.queue.merge(lane.seal(self.end_ns));
             }
         }
         self.stats.horizon_ns = self.end_ns;
@@ -700,8 +710,7 @@ fn run_channel(
     work: ChannelWork<'_>,
     state: &mut ChannelState,
 ) {
-    let mut sim = ChannelSim::new(config, bank_config, channel);
-    let banks = &mut state.banks;
+    let mut sim = ChannelSim::new(config, bank_config, channel, state.resident.len());
 
     let (trace, source): (&[(usize, Transaction)], Option<&ClosedLoopSource>) = match &work {
         ChannelWork::Trace(txns) => (txns.as_slice(), None),
@@ -725,7 +734,7 @@ fn run_channel(
             Event::Arrive => {
                 let (trace_index, txn) = trace[cursor];
                 cursor += 1;
-                sim.offer(banks, txn, trace_index, now);
+                sim.offer(state, txn, trace_index, now);
                 if let Some((_, next)) = trace.get(cursor) {
                     // Arrivals are pre-sorted; the max() only guards float
                     // identity for equal timestamps.
@@ -744,16 +753,16 @@ fn run_channel(
                     continue;
                 }
                 let txn = source.next_txn(&sim.geometry, channel, rng);
-                sim.offer(banks, txn, issued, now);
+                sim.offer(state, txn, issued, now);
                 issued += 1;
                 if issued < source.ops_per_channel {
                     let at = now + source.next_think_ns(rng);
                     sim.events.schedule(SOURCE_SLOT, at, Event::Issue);
                 }
             }
-            Event::BankDone => sim.claim_buses(slot - 1, now),
+            Event::BankDone => sim.claim_buses(state, slot - 1, now),
             Event::Complete => {
-                sim.complete(banks, slot - 1, now);
+                sim.complete(state, slot - 1, now);
                 if throttled {
                     let source = source.expect("throttled without a source");
                     if issued < source.ops_per_channel {
