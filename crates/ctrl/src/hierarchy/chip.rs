@@ -321,7 +321,11 @@ struct ChannelState {
     /// first transaction — four bytes per addressable bank.
     slot_of: Vec<u32>,
     /// Materialised banks in first-touch order.
-    resident: Vec<Resident>,
+    // Boxed, so growing the list moves pointers, not ~2.5 KB banks:
+    // reallocating inline banks raised `chip-closed` peak RSS by about
+    // 0.2 MB.
+    #[allow(clippy::vec_box)]
+    resident: Vec<Box<Resident>>,
     /// Accumulated channel engine counters.
     stats: ChannelTelemetry,
     /// Makespan of the most recent run (nanoseconds).
@@ -437,7 +441,7 @@ impl Chip {
                     .map(move |(local, &slot)| {
                         (
                             channel * per_channel + local,
-                            &state.resident[slot as usize],
+                            &*state.resident[slot as usize],
                         )
                     })
             })
@@ -632,11 +636,11 @@ impl<'a> ChannelSim<'a> {
             let coord = self.config.topology.coord(txn.bank);
             state.slot_of[local] =
                 u32::try_from(state.resident.len()).expect("fewer than 2^32 banks per channel");
-            state.resident.push(Resident {
+            state.resident.push(Box::new(Resident {
                 bank: Bank::new(txn.bank, self.bank_config),
                 queue: QueueTelemetry::default(),
                 group_bus: coord.rank * self.config.topology.groups + coord.group,
-            });
+            }));
             self.lanes.push(None);
             self.events.add_slot();
         }
