@@ -319,7 +319,7 @@ const UNTOUCHED: u32 = u32::MAX;
 struct ChannelState {
     /// Each local bank's index into `resident`, [`UNTOUCHED`] until its
     /// first transaction — four bytes per addressable bank.
-    slot_of: Vec<u32>,
+    index_of: Vec<u32>,
     /// Materialised banks in first-touch order.
     // Boxed, so growing the list moves pointers, not ~2.5 KB banks:
     // reallocating inline banks raised `chip-closed` peak RSS by about
@@ -337,7 +337,7 @@ struct ChannelState {
 impl ChannelState {
     fn new(banks_per_channel: usize) -> Self {
         Self {
-            slot_of: vec![UNTOUCHED; banks_per_channel],
+            index_of: vec![UNTOUCHED; banks_per_channel],
             resident: Vec::new(),
             stats: ChannelTelemetry::default(),
             last_end_ns: 0.0,
@@ -434,14 +434,14 @@ impl Chip {
             .enumerate()
             .flat_map(move |(channel, state)| {
                 state
-                    .slot_of
+                    .index_of
                     .iter()
                     .enumerate()
-                    .filter(|&(_, &slot)| slot != UNTOUCHED)
-                    .map(move |(local, &slot)| {
+                    .filter(|&(_, &index)| index != UNTOUCHED)
+                    .map(move |(local, &index)| {
                         (
                             channel * per_channel + local,
-                            &*state.resident[slot as usize],
+                            &*state.resident[index as usize],
                         )
                     })
             })
@@ -553,9 +553,8 @@ impl Chip {
     }
 }
 
-/// What one channel's event loop reacts to. The source's events live in
-/// calendar slot [`SOURCE_SLOT`], the events of the bank at
-/// `ChannelState::resident[i]` in slot `1 + i`.
+/// What one channel's event loop reacts to. Banks are named by their index
+/// into `ChannelState::resident`.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// The next open-loop trace transaction arrives.
@@ -563,16 +562,18 @@ enum Event {
     /// The closed-loop source attempts to issue.
     Issue,
     /// A bank's array access finished; the transfer now claims its buses.
-    BankDone,
+    BankDone { bank: usize },
     /// The transfer crossed both buses; the transaction is complete and the
     /// bank is free.
-    Complete,
+    Complete { bank: usize },
 }
 
-/// The calendar slot of a channel's traffic source. Each bank's slot holds
-/// at most one event because its lane stays occupied from service start
-/// until the bus transfer completes; the source has one `Arrive` or
-/// `Issue` in flight at a time.
+/// The calendar slot of a channel's traffic source, which has one `Arrive`
+/// or `Issue` in flight at a time. A bank holds a slot of its own from
+/// service start until its lane goes idle — its lane stays occupied until
+/// the bus transfer completes, so the slot holds one event at a time — and
+/// then frees it for the next bank that starts. The calendar is therefore
+/// only as wide as the most banks ever busy at once.
 const SOURCE_SLOT: usize = 0;
 
 /// Everything one channel's event loop owns while it runs. Banks are
@@ -588,6 +589,8 @@ struct ChannelSim<'a> {
     /// until the bank's first offer of the run.
     lanes: Vec<Option<Lane>>,
     events: SlotCalendar<Event>,
+    /// Calendar slots no bank holds.
+    free_slots: Vec<usize>,
     stats: ChannelTelemetry,
     /// Bus-free times: one per (rank, group) pair, plus the channel bus.
     group_bus_free: Vec<f64>,
@@ -611,7 +614,8 @@ impl<'a> ChannelSim<'a> {
             channel,
             first_bank: channel * topology.banks_per_channel(),
             lanes: std::iter::repeat_with(|| None).take(resident).collect(),
-            events: SlotCalendar::new(1 + resident),
+            events: SlotCalendar::new(1),
+            free_slots: Vec::new(),
             stats: ChannelTelemetry::default(),
             group_bus_free: vec![0.0; topology.ranks * topology.groups],
             channel_bus_free: 0.0,
@@ -632,9 +636,9 @@ impl<'a> ChannelSim<'a> {
         self.outstanding += 1;
         self.stats.max_outstanding = self.stats.max_outstanding.max(self.outstanding as u64);
         let local = txn.bank - self.first_bank;
-        if state.slot_of[local] == UNTOUCHED {
+        if state.index_of[local] == UNTOUCHED {
             let coord = self.config.topology.coord(txn.bank);
-            state.slot_of[local] =
+            state.index_of[local] =
                 u32::try_from(state.resident.len()).expect("fewer than 2^32 banks per channel");
             state.resident.push(Box::new(Resident {
                 bank: Bank::new(txn.bank, self.bank_config),
@@ -642,11 +646,10 @@ impl<'a> ChannelSim<'a> {
                 group_bus: coord.rank * self.config.topology.groups + coord.group,
             }));
             self.lanes.push(None);
-            self.events.add_slot();
         }
-        let slot = state.slot_of[local] as usize;
-        let bank = &mut state.resident[slot].bank;
-        let lane = self.lanes[slot].get_or_insert_with(|| Lane::new(usize::MAX, 0));
+        let index = state.index_of[local] as usize;
+        let bank = &mut state.resident[index].bank;
+        let lane = self.lanes[index].get_or_insert_with(|| Lane::new(usize::MAX, 0));
         let queued = Queued {
             txn,
             trace_index,
@@ -654,15 +657,20 @@ impl<'a> ChannelSim<'a> {
             admit_ns: now,
         };
         if let Some(done) = lane.admit(bank, &self.bank_config.faults, queued, now) {
-            self.events.schedule(1 + slot, done, Event::BankDone);
+            let slot = self
+                .free_slots
+                .pop()
+                .unwrap_or_else(|| self.events.add_slot());
+            self.events
+                .schedule(slot, done, Event::BankDone { bank: index });
         }
     }
 
     /// A finished array access claims its group and channel buses: the
     /// transfer starts when both are free, holds both for the full burst,
     /// and completes the transaction when it ends.
-    fn claim_buses(&mut self, state: &ChannelState, slot: usize, now: f64) {
-        let group = state.resident[slot].group_bus;
+    fn claim_buses(&mut self, state: &ChannelState, bank: usize, slot: usize, now: f64) {
+        let group = state.resident[bank].group_bus;
         let start = now
             .max(self.group_bus_free[group])
             .max(self.channel_bus_free);
@@ -672,21 +680,22 @@ impl<'a> ChannelSim<'a> {
         self.stats.bus_busy_ns += burst_ns;
         self.group_bus_free[group] = done;
         self.channel_bus_free = done;
-        self.events.schedule(1 + slot, done, Event::Complete);
+        self.events.schedule(slot, done, Event::Complete { bank });
     }
 
     /// Retires the completed transaction and starts the bank's next one
-    /// (chip lanes dispatch FCFS).
-    fn complete(&mut self, state: &mut ChannelState, slot: usize, now: f64) {
-        let lane = self.lanes[slot].as_mut().expect("completion without lane");
+    /// (chip lanes dispatch FCFS) in the same calendar slot, or frees the
+    /// slot if the bank goes idle.
+    fn complete(&mut self, state: &mut ChannelState, bank: usize, slot: usize, now: f64) {
+        let lane = self.lanes[bank].as_mut().expect("completion without lane");
         lane.complete(now);
         self.stats.completed += 1;
         self.outstanding -= 1;
         self.end_ns = self.end_ns.max(now);
-        let bank = &mut state.resident[slot].bank;
         let faults = &self.bank_config.faults;
-        if let Some(done) = lane.dispatch(bank, faults, Policy::Fcfs, now) {
-            self.events.schedule(1 + slot, done, Event::BankDone);
+        match lane.dispatch(&mut state.resident[bank].bank, faults, Policy::Fcfs, now) {
+            Some(done) => self.events.schedule(slot, done, Event::BankDone { bank }),
+            None => self.free_slots.push(slot),
         }
     }
 
@@ -764,9 +773,9 @@ fn run_channel(
                     sim.events.schedule(SOURCE_SLOT, at, Event::Issue);
                 }
             }
-            Event::BankDone => sim.claim_buses(state, slot - 1, now),
-            Event::Complete => {
-                sim.complete(state, slot - 1, now);
+            Event::BankDone { bank } => sim.claim_buses(state, bank, slot, now),
+            Event::Complete { bank } => {
+                sim.complete(state, bank, slot, now);
                 if throttled {
                     let source = source.expect("throttled without a source");
                     if issued < source.ops_per_channel {

@@ -21,9 +21,8 @@
 //! * `SlotCalendar` — a fixed-slot calendar for loops that never have
 //!   more than one pending event per *source* (the FCFS fast path and the
 //!   chip's channel loop: one slot for the arrival stream, one per bank).
-//!   Scheduling is an append and popping a linear scan of the pending
-//!   keys, which beats a heap's sift at the handful of events those loops
-//!   hold.
+//!   Scheduling is a store and popping a linear scan for the minimum key,
+//!   which beats a heap's sift at the handful of slots those loops use.
 //!
 //! Both assign sequence numbers at `schedule`, so the same schedule/pop
 //! interleaving pops the same `(time, event)` sequence from either.
@@ -35,11 +34,14 @@
 /// the high 64 bits hold the timestamp's bits remapped so that unsigned
 /// order equals [`f64::total_cmp`] order (negative times, `-0.0` before
 /// `0.0`), the low 64 bits hold the sequence number. NaN is rejected at
-/// construction.
+/// construction, so no real key reaches [`EventKey::IDLE`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct EventKey(u128);
 
 impl EventKey {
+    /// Sorts after every real key: an empty calendar slot.
+    pub(crate) const IDLE: Self = Self(u128::MAX);
+
     /// The key of the event scheduled `seq`-th at `time_ns`.
     ///
     /// # Panics
@@ -208,39 +210,34 @@ impl<E> EventQueue<E> {
 /// in [`EventKey`] order.
 ///
 /// For an event loop whose sources each have at most one event in flight
-/// — one slot per source — this replaces a heap. The pending events sit
-/// unordered in a compact list: `schedule` appends and `pop` scans it for
-/// the minimum key, so each pop costs one compare per *pending* event, not
-/// per slot — a wide channel with a few busy banks scans a few keys.
+/// — one slot per source — this replaces a heap: `schedule` stores the
+/// key in the source's slot and `pop` scans the slots for the minimum.
 /// Sequence numbers are assigned per `schedule` exactly as
 /// [`EventQueue::schedule`] assigns them, so both containers pop the same
 /// sequence for the same calls.
 #[derive(Debug, Clone)]
 pub(crate) struct SlotCalendar<E> {
-    /// Pending keys, unordered; `pending[i]` is the slot and payload of
-    /// `keys[i]`.
+    /// Each slot's pending key, [`EventKey::IDLE`] when empty.
     keys: Vec<EventKey>,
-    pending: Vec<(usize, E)>,
-    /// Whether each slot holds a pending event.
-    occupied: Vec<bool>,
+    events: Vec<Option<E>>,
     seq: u64,
 }
 
-impl<E> SlotCalendar<E> {
+impl<E: Copy> SlotCalendar<E> {
     /// An empty calendar of `slots` slots.
     pub(crate) fn new(slots: usize) -> Self {
         Self {
-            keys: Vec::with_capacity(slots),
-            pending: Vec::with_capacity(slots),
-            occupied: vec![false; slots],
+            keys: vec![EventKey::IDLE; slots],
+            events: vec![None; slots],
             seq: 0,
         }
     }
 
     /// Appends an empty slot and returns its index.
     pub(crate) fn add_slot(&mut self) -> usize {
-        self.occupied.push(false);
-        self.occupied.len() - 1
+        self.keys.push(EventKey::IDLE);
+        self.events.push(None);
+        self.keys.len() - 1
     }
 
     /// Schedules `event` at `time_ns` in `slot`.
@@ -251,30 +248,32 @@ impl<E> SlotCalendar<E> {
     /// one-event-in-flight contract), or if `time_ns` is NaN.
     pub(crate) fn schedule(&mut self, slot: usize, time_ns: f64, event: E) {
         assert!(
-            !self.occupied[slot],
+            self.keys[slot] == EventKey::IDLE,
             "calendar slot {slot} already holds a pending event"
         );
-        self.occupied[slot] = true;
-        self.keys.push(EventKey::new(time_ns, self.seq));
-        self.pending.push((slot, event));
+        self.keys[slot] = EventKey::new(time_ns, self.seq);
+        self.events[slot] = Some(event);
         self.seq += 1;
     }
 
     /// Removes and returns the earliest pending event with its slot (ties
     /// in scheduling order).
     pub(crate) fn pop(&mut self) -> Option<(f64, usize, E)> {
-        let (first, rest) = self.keys.split_first()?;
-        let mut earliest = 0;
-        let mut best = *first;
-        for (i, &key) in rest.iter().enumerate() {
+        let mut slot = 0;
+        let mut best = EventKey::IDLE;
+        for (i, &key) in self.keys.iter().enumerate() {
             if key < best {
-                earliest = i + 1;
+                slot = i;
                 best = key;
             }
         }
-        self.keys.swap_remove(earliest);
-        let (slot, event) = self.pending.swap_remove(earliest);
-        self.occupied[slot] = false;
+        if best == EventKey::IDLE {
+            return None;
+        }
+        self.keys[slot] = EventKey::IDLE;
+        let event = self.events[slot]
+            .take()
+            .expect("a keyed slot holds its event");
         Some((best.time_ns(), slot, event))
     }
 }
@@ -377,6 +376,7 @@ mod tests {
                 );
             }
             assert!(EventKey::new(a, 1) < EventKey::new(a, 2));
+            assert!(EventKey::new(a, u64::MAX) < EventKey::IDLE);
         }
     }
 
@@ -417,7 +417,7 @@ mod tests {
         ) {
             let mut heap = EventQueue::new();
             // Starts with one slot and grows on demand, as a chip channel
-            // does when a bank is first touched.
+            // does when more of its banks are busy at once than before.
             let mut calendar = SlotCalendar::new(1);
             let mut slots = 1;
             let mut occupied = [false; SLOTS];

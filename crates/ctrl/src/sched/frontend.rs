@@ -1066,9 +1066,8 @@ fn schedule_fresh<S: TxnSource + ?Sized>(
 }
 
 /// Widest controller the FCFS-unbounded fast path serves: each event pops
-/// via a linear scan of the pending events (up to one per bank), so the
-/// scan must stay trivially cheap. Wider controllers fall back to the
-/// event heap.
+/// via a linear scan of the per-bank calendar slots, so the scan must stay
+/// trivially cheap. Wider controllers fall back to the event heap.
 const FAST_PATH_MAX_BANKS: usize = 16;
 
 /// The fast path's calendar slot for the fresh-arrival stream; bank `b`
