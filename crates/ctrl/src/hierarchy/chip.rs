@@ -553,8 +553,11 @@ impl Chip {
     }
 }
 
-/// What one channel's event loop reacts to. Banks are named by their index
-/// into `ChannelState::resident`.
+/// What one channel's event loop reacts to. The source's events live in
+/// calendar slot [`SOURCE_SLOT`], the events of the bank at
+/// `ChannelState::resident[i]` in slot `1 + i` — slots are given out in
+/// first-touch order, so each pop scans the banks the channel has touched,
+/// not every bank it addresses.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// The next open-loop trace transaction arrives.
@@ -562,18 +565,16 @@ enum Event {
     /// The closed-loop source attempts to issue.
     Issue,
     /// A bank's array access finished; the transfer now claims its buses.
-    BankDone { bank: usize },
+    BankDone,
     /// The transfer crossed both buses; the transaction is complete and the
     /// bank is free.
-    Complete { bank: usize },
+    Complete,
 }
 
-/// The calendar slot of a channel's traffic source, which has one `Arrive`
-/// or `Issue` in flight at a time. A bank holds a slot of its own from
-/// service start until its lane goes idle — its lane stays occupied until
-/// the bus transfer completes, so the slot holds one event at a time — and
-/// then frees it for the next bank that starts. The calendar is therefore
-/// only as wide as the most banks ever busy at once.
+/// The calendar slot of a channel's traffic source. Each bank's slot holds
+/// at most one event because its lane stays occupied from service start
+/// until the bus transfer completes; the source has one `Arrive` or
+/// `Issue` in flight at a time.
 const SOURCE_SLOT: usize = 0;
 
 /// Everything one channel's event loop owns while it runs. Banks are
@@ -589,8 +590,6 @@ struct ChannelSim<'a> {
     /// until the bank's first offer of the run.
     lanes: Vec<Option<Lane>>,
     events: SlotCalendar<Event>,
-    /// Calendar slots no bank holds.
-    free_slots: Vec<usize>,
     stats: ChannelTelemetry,
     /// Bus-free times: one per (rank, group) pair, plus the channel bus.
     group_bus_free: Vec<f64>,
@@ -614,8 +613,7 @@ impl<'a> ChannelSim<'a> {
             channel,
             first_bank: channel * topology.banks_per_channel(),
             lanes: std::iter::repeat_with(|| None).take(resident).collect(),
-            events: SlotCalendar::new(1),
-            free_slots: Vec::new(),
+            events: SlotCalendar::new(1 + resident),
             stats: ChannelTelemetry::default(),
             group_bus_free: vec![0.0; topology.ranks * topology.groups],
             channel_bus_free: 0.0,
@@ -646,6 +644,7 @@ impl<'a> ChannelSim<'a> {
                 group_bus: coord.rank * self.config.topology.groups + coord.group,
             }));
             self.lanes.push(None);
+            self.events.add_slot();
         }
         let index = state.index_of[local] as usize;
         let bank = &mut state.resident[index].bank;
@@ -657,20 +656,15 @@ impl<'a> ChannelSim<'a> {
             admit_ns: now,
         };
         if let Some(done) = lane.admit(bank, &self.bank_config.faults, queued, now) {
-            let slot = self
-                .free_slots
-                .pop()
-                .unwrap_or_else(|| self.events.add_slot());
-            self.events
-                .schedule(slot, done, Event::BankDone { bank: index });
+            self.events.schedule(1 + index, done, Event::BankDone);
         }
     }
 
     /// A finished array access claims its group and channel buses: the
     /// transfer starts when both are free, holds both for the full burst,
     /// and completes the transaction when it ends.
-    fn claim_buses(&mut self, state: &ChannelState, bank: usize, slot: usize, now: f64) {
-        let group = state.resident[bank].group_bus;
+    fn claim_buses(&mut self, state: &ChannelState, index: usize, now: f64) {
+        let group = state.resident[index].group_bus;
         let start = now
             .max(self.group_bus_free[group])
             .max(self.channel_bus_free);
@@ -680,22 +674,21 @@ impl<'a> ChannelSim<'a> {
         self.stats.bus_busy_ns += burst_ns;
         self.group_bus_free[group] = done;
         self.channel_bus_free = done;
-        self.events.schedule(slot, done, Event::Complete { bank });
+        self.events.schedule(1 + index, done, Event::Complete);
     }
 
     /// Retires the completed transaction and starts the bank's next one
-    /// (chip lanes dispatch FCFS) in the same calendar slot, or frees the
-    /// slot if the bank goes idle.
-    fn complete(&mut self, state: &mut ChannelState, bank: usize, slot: usize, now: f64) {
-        let lane = self.lanes[bank].as_mut().expect("completion without lane");
+    /// (chip lanes dispatch FCFS).
+    fn complete(&mut self, state: &mut ChannelState, index: usize, now: f64) {
+        let lane = self.lanes[index].as_mut().expect("completion without lane");
         lane.complete(now);
         self.stats.completed += 1;
         self.outstanding -= 1;
         self.end_ns = self.end_ns.max(now);
+        let bank = &mut state.resident[index].bank;
         let faults = &self.bank_config.faults;
-        match lane.dispatch(&mut state.resident[bank].bank, faults, Policy::Fcfs, now) {
-            Some(done) => self.events.schedule(slot, done, Event::BankDone { bank }),
-            None => self.free_slots.push(slot),
+        if let Some(done) = lane.dispatch(bank, faults, Policy::Fcfs, now) {
+            self.events.schedule(1 + index, done, Event::BankDone);
         }
     }
 
@@ -773,9 +766,9 @@ fn run_channel(
                     sim.events.schedule(SOURCE_SLOT, at, Event::Issue);
                 }
             }
-            Event::BankDone { bank } => sim.claim_buses(state, bank, slot, now),
-            Event::Complete { bank } => {
-                sim.complete(state, bank, slot, now);
+            Event::BankDone => sim.claim_buses(state, slot - 1, now),
+            Event::Complete => {
+                sim.complete(state, slot - 1, now);
                 if throttled {
                     let source = source.expect("throttled without a source");
                     if issued < source.ops_per_channel {
