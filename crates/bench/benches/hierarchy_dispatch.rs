@@ -21,7 +21,7 @@ const WINDOW: usize = 8;
 
 /// Closed-loop chips across scale and dispatch: one channel (the serial
 /// floor), four channels served one after another, the same four channels
-/// on one worker thread each, and the serial/sharded pair again at 8x the
+/// sharded over worker threads, and the serial/sharded pair again at 8x the
 /// per-channel work.
 fn bench_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("hierarchy_dispatch/closed_loop");

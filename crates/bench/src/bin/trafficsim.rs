@@ -1,10 +1,10 @@
 //! `trafficsim` — sweep the stt-ctrl engine over scheme × bank count ×
 //! workload and write the telemetry to `results/traffic.csv`.
 //!
-//! Every sweep point is served twice — serially and with one worker thread
-//! per bank — and the two telemetry sets are asserted **equal** before the
-//! row is recorded, so the CSV doubles as a determinism proof for the
-//! engine's parallel dispatch.
+//! Every sweep point is served twice — serially and with the banks sharded
+//! over worker threads — and the two telemetry sets are asserted **equal**
+//! before the row is recorded, so the CSV doubles as a determinism proof
+//! for the engine's parallel dispatch.
 //!
 //! With `--load-sweep` the binary instead drives the event-driven scheduler
 //! frontend over offered load × scheme: Poisson arrivals at a fraction of
@@ -27,9 +27,10 @@
 //! With `--topology-sweep` the binary drives the full-chip hierarchy
 //! (see [`stt_ctrl::hierarchy`]): a closed-loop, window-limited source per
 //! channel over a channels × ranks × bank groups × banks geometry
-//! (`--geometry CxRxGxB`, default `2x1x2x2`). Every point runs twice —
-//! serially and with one worker thread per channel — and the telemetry and
-//! stored state are asserted bit-identical before the row is recorded. Per
+//! (`--geometry CxRxGxB`, default `2x1x2x2`; the flag is rejected with
+//! any other mode). Every point runs twice — serially and with the channels
+//! sharded over worker threads — and the telemetry and stored state are
+//! asserted bit-identical before the row is recorded. Per
 //! scheme, the window sweep traces out the throughput/latency curve and
 //! reports its **knee**: the first window whose p99 sojourn exceeds 5× the
 //! unloaded (window = 1) p99. Results go to `results/topology_sweep.csv`.
@@ -415,11 +416,12 @@ fn reliability_sweep(ops_per_config: usize) -> Table {
 /// under a closed-loop source, locating the knee of each scheme's
 /// throughput/latency curve.
 ///
-/// Every point runs twice — channels served serially and one worker thread
-/// per channel — and both the telemetry and the stored state are asserted
-/// bit-identical before the row is recorded, so the CSV doubles as the
-/// sharded-dispatch determinism proof. A sparse Zipf replay over a 256-bank
-/// chip then demonstrates lazy materialisation: only touched banks allocate.
+/// Every point runs twice — channels served serially and sharded over
+/// worker threads — and both the telemetry and the stored state are
+/// asserted bit-identical before the row is recorded, so the CSV doubles as
+/// the sharded-dispatch determinism proof. A sparse Zipf replay over a
+/// 256-bank chip then demonstrates lazy materialisation: only touched banks
+/// allocate.
 fn topology_sweep(ops_per_channel: usize, topology: Topology) -> Table {
     let mut table = Table::new([
         "scheme",
@@ -577,10 +579,10 @@ fn topology_sweep(ops_per_channel: usize, topology: Topology) -> Table {
 /// hot-spot with the inline calibration daemon watching each bank's
 /// misread/retry-exhaustion telemetry.
 ///
-/// Each arm is served twice — serially and one thread per bank — and the
-/// two telemetry sets are asserted equal, so drift application and the
-/// trip → burst → refit loop are covered by the same determinism proof as
-/// the plain engine. For full-size runs the two robustness gates are
+/// Each arm is served twice — serially and sharded over worker threads —
+/// and the two telemetry sets are asserted equal, so drift application and
+/// the trip → burst → refit loop are covered by the same determinism proof
+/// as the plain engine. For full-size runs the two robustness gates are
 /// asserted: static β must degrade ≥ 10× against baseline, the calibrated
 /// arm must stay within 2× of baseline (or the trip-latency floor — the
 /// daemon only observes an excursion after a check window's worth of
@@ -904,7 +906,8 @@ flags:
                        runs are smoke-sized: acceptance asserts are skipped
                        and --march-sweep trims to the nondestructive scheme
   --csv DIR            output directory for the CSV (default results/)
-  --geometry CxRxGxB   chip topology for --topology-sweep (default 2x1x2x2)";
+  --geometry CxRxGxB   chip topology for --topology-sweep (default 2x1x2x2);
+                       rejected with any other mode";
 
 /// Which sweep (or utility) a parsed command line selects.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -936,6 +939,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         topology: Topology::date2010(),
         mode: Mode::Traffic,
     };
+    let mut geometry_given = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -959,6 +963,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 cli.topology = text
                     .parse()
                     .map_err(|error| format!("bad --geometry {text:?}: {error}"))?;
+                geometry_given = true;
             }
             "--convert" => {
                 let input = iter
@@ -979,6 +984,9 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--help" | "-h" => cli.mode = Mode::Help,
             other => return Err(format!("unknown argument {other:?}")),
         }
+    }
+    if geometry_given && cli.mode != Mode::Topology {
+        return Err(String::from("--geometry only applies to --topology-sweep"));
     }
     Ok(cli)
 }
@@ -1097,7 +1105,7 @@ mod tests {
             let args: Vec<&str> = match token {
                 "--ops" => vec!["--ops", "100"],
                 "--csv" => vec!["--csv", "out"],
-                "--geometry" => vec!["--geometry", "2x1x2x2"],
+                "--geometry" => vec!["--geometry", "2x1x2x2", "--topology-sweep"],
                 "--convert" => vec!["--convert", "in.csv", "out.bin"],
                 flag => vec![flag],
             };
@@ -1135,7 +1143,9 @@ mod tests {
         assert_eq!(parse(&["--thermal-sweep"]).unwrap().mode, Mode::Thermal);
         assert_eq!(parse(&["--help"]).unwrap().mode, Mode::Help);
         assert_eq!(
-            parse(&["--geometry", "4x2x4x8"]).unwrap().topology,
+            parse(&["--geometry", "4x2x4x8", "--topology-sweep"])
+                .unwrap()
+                .topology,
             Topology::new(4, 2, 4, 8)
         );
         assert_eq!(
@@ -1154,8 +1164,33 @@ mod tests {
         assert!(parse(&["--ops", "0"]).is_err());
         assert!(parse(&["--csv"]).is_err());
         assert!(parse(&["--geometry", "not-a-geometry"]).is_err());
+        // "4294967296x4294967296x2x1" on a 64-bit host.
+        let half = 1usize << (usize::BITS / 2);
+        let geometry = format!("{half}x{half}x2x1");
+        let overflow = parse(&["--topology-sweep", "--geometry", &geometry]);
+        assert!(
+            overflow.as_ref().is_err_and(|e| e.contains("overflows")),
+            "{overflow:?}"
+        );
         assert!(parse(&["--convert", "only-one-path"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
+    }
+
+    #[test]
+    fn geometry_outside_the_topology_sweep_is_rejected() {
+        for mode in [None, Some("--load-sweep"), Some("--march-sweep")] {
+            let mut args = vec!["--geometry", "4x2x4x8"];
+            args.extend(mode);
+            let error = parse(&args).unwrap_err();
+            assert!(error.contains("--topology-sweep"), "{error}");
+        }
+        // Order does not matter.
+        assert_eq!(
+            parse(&["--topology-sweep", "--geometry", "1x1x1x2"])
+                .unwrap()
+                .topology,
+            Topology::flat(2)
+        );
     }
 
     /// A fresh, empty scratch directory for one file-handling test.

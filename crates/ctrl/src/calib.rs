@@ -31,8 +31,10 @@
 //!
 //! * **Inline** ([`ControllerConfig::with_calib`](crate::engine::ControllerConfig::with_calib))
 //!   — the bank evaluates the trip condition itself every `check_reads`
-//!   demand reads. Works under serial, parallel and frontend dispatch and
-//!   preserves bit-identity across all three.
+//!   demand reads. Works under serial replay, sharded parallel replay and
+//!   frontend dispatch and preserves bit-identity across all three: the
+//!   window counts the bank's own demand reads, which every dispatch serves
+//!   in the same per-bank order, whichever shard or thread holds the bank.
 //! * **Frontend daemon**
 //!   ([`FrontendConfig::with_calib`](crate::sched::FrontendConfig::with_calib))
 //!   — a periodic scheduler event per bank, arbitrated as background work

@@ -1,11 +1,13 @@
 //! The controller engine: N banks, one trace, serial or parallel dispatch.
 //!
-//! Transactions are partitioned per bank in trace order; each bank then
-//! serves its slice against its own array with its own RNG. Because banks
-//! share nothing, the parallel dispatch (one crossbeam scoped thread per
-//! bank) executes the exact same per-bank instruction-and-RNG sequence as
-//! the serial one — [`Controller::run`] returns **equal** [`Telemetry`]
-//! either way, which the test suite asserts outright.
+//! Each bank serves the transactions addressed to it, in trace order,
+//! against its own array with its own RNG; the trace is read in place, never
+//! copied. Because banks share nothing, the parallel dispatch (the banks
+//! split into contiguous shards over at most `available_parallelism()`
+//! scoped workers, each walking the trace for its own banks) executes the
+//! exact same per-bank instruction-and-RNG sequence as the serial one —
+//! [`Controller::run`] returns **equal** [`Telemetry`] either way, which the
+//! test suite asserts outright.
 
 use serde::{Deserialize, Serialize};
 use stt_array::ArraySpec;
@@ -17,15 +19,16 @@ use crate::faults::{DriftPlan, FaultPlan};
 use crate::reliability::EccMode;
 use crate::retry::RetryPolicy;
 use crate::telemetry::{LatencyBounds, Telemetry};
-use crate::txn::{Transaction, TxnSource};
+use crate::txn::TxnSource;
 use crate::workload::Footprint;
 
 /// How [`Controller::run`] drives its banks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Dispatch {
-    /// One bank after another, on the calling thread.
+    /// The whole trace on the calling thread, in trace order.
     Serial,
-    /// One scoped worker thread per bank.
+    /// The banks split into contiguous shards over at most
+    /// `available_parallelism()` scoped worker threads.
     Parallel,
 }
 
@@ -191,48 +194,44 @@ impl Controller {
     /// (including the post-run integrity audit).
     ///
     /// Generic over [`TxnSource`]: an owned [`Trace`](crate::Trace) and a
-    /// zero-copy
-    /// [`TraceView`](crate::TraceView) partition into the same per-bank
-    /// slices and replay bit-identically.
+    /// zero-copy [`TraceView`](crate::TraceView) are read in place and
+    /// replay bit-identically.
     ///
     /// # Panics
     ///
     /// Panics if a transaction addresses a bank the controller does not
-    /// have.
-    pub fn run<S: TxnSource + ?Sized>(&mut self, trace: &S, dispatch: Dispatch) -> Telemetry {
-        let mut per_bank: Vec<Vec<Transaction>> = vec![Vec::new(); self.banks.len()];
-        for i in 0..trace.len() {
-            let txn = trace.get(i);
-            assert!(
-                txn.bank < per_bank.len(),
-                "transaction targets bank {} of a {}-bank controller",
-                txn.bank,
-                per_bank.len()
-            );
-            per_bank[txn.bank].push(txn);
-        }
+    /// have; the whole trace is checked before anything is served, so the
+    /// controller is left untouched.
+    pub fn run<S: TxnSource + Sync + ?Sized>(
+        &mut self,
+        trace: &S,
+        dispatch: Dispatch,
+    ) -> Telemetry {
         let Self { config, banks } = self;
+        for index in 0..trace.len() {
+            let bank = trace.get(index).bank;
+            assert!(
+                bank < banks.len(),
+                "transaction targets bank {bank} of a {}-bank controller",
+                banks.len()
+            );
+        }
         let faults = &config.faults;
-        match dispatch {
-            Dispatch::Serial => {
-                for (bank, txns) in banks.iter_mut().zip(&per_bank) {
-                    for txn in txns {
-                        bank.execute(txn, faults);
-                    }
+        let serve = |first: usize, shard: &mut [Bank]| {
+            for index in 0..trace.len() {
+                let txn = trace.get(index);
+                if let Some(bank) = txn
+                    .bank
+                    .checked_sub(first)
+                    .and_then(|local| shard.get_mut(local))
+                {
+                    bank.execute(&txn, faults);
                 }
             }
-            Dispatch::Parallel => {
-                crossbeam::scope(|scope| {
-                    for (bank, txns) in banks.iter_mut().zip(&per_bank) {
-                        scope.spawn(move |_| {
-                            for txn in txns {
-                                bank.execute(txn, faults);
-                            }
-                        });
-                    }
-                })
-                .unwrap_or_else(stt_stats::resume_panic);
-            }
+        };
+        match dispatch {
+            Dispatch::Serial => serve(0, banks),
+            Dispatch::Parallel => stt_stats::fan_out(banks, serve),
         }
         self.telemetry()
     }
@@ -251,7 +250,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::Trace;
+    use crate::txn::{Trace, Transaction};
     use crate::workload::Workload;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -282,6 +281,36 @@ mod tests {
         controller.run(&trace, Dispatch::Serial);
         let telemetry = controller.run(&trace, Dispatch::Serial);
         assert_eq!(telemetry.transactions(), 200);
+    }
+
+    #[test]
+    fn parallel_shards_over_many_banks_equal_serial() {
+        // More banks than any host has cores, so every worker serves a
+        // multi-bank shard.
+        let config = ControllerConfig::small(SchemeKind::Nondestructive, 64).with_seed(9);
+        let trace = small_trace(&config, 3000);
+        let mut serial = Controller::new(config.clone());
+        let mut parallel = Controller::new(config);
+        assert_eq!(
+            serial.run(&trace, Dispatch::Serial),
+            parallel.run(&trace, Dispatch::Parallel)
+        );
+        assert_eq!(serial.stored_state(), parallel.stored_state());
+    }
+
+    #[test]
+    fn a_bad_bank_anywhere_in_the_trace_serves_nothing() {
+        let config = ControllerConfig::small(SchemeKind::Nondestructive, 2);
+        let mut trace = small_trace(&config, 50);
+        trace.push(Transaction::read(2, stt_array::Address::new(0, 0)));
+        let mut controller = Controller::new(config);
+        for dispatch in [Dispatch::Serial, Dispatch::Parallel] {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                controller.run(&trace, dispatch)
+            }));
+            assert!(outcome.is_err(), "{dispatch:?} must reject the trace");
+            assert_eq!(controller.telemetry().transactions(), 0, "{dispatch:?}");
+        }
     }
 
     #[test]

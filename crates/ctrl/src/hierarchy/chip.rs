@@ -8,8 +8,9 @@
 //! the same code in both engines; the channel loop adds only the bus
 //! stage between a bank's access and the transaction's completion. Channels
 //! share **nothing** — which is exactly the property that lets
-//! [`ShardDispatch::Sharded`] put one worker thread on each channel and
-//! still produce results **bit-identical** to [`ShardDispatch::Serial`].
+//! [`ShardDispatch::Sharded`] split the channels into contiguous shards over
+//! at most `available_parallelism()` worker threads (`stt_stats::fan_out`)
+//! and still produce results **bit-identical** to [`ShardDispatch::Serial`].
 //! Within a channel, the levels below it exist as *shared resources*:
 //! banks in a bank group share a group data bus, and every transfer in the
 //! channel crosses the channel bus, so a completed array access still
@@ -88,8 +89,9 @@ impl BusTiming {
 pub enum ShardDispatch {
     /// Channels served one after another on the calling thread.
     Serial,
-    /// One scoped worker thread per channel (bit-identical to serial:
-    /// channels share nothing).
+    /// Channels split into contiguous shards over at most
+    /// `available_parallelism()` scoped worker threads (bit-identical to
+    /// serial: channels share nothing).
     Sharded,
 }
 
@@ -371,7 +373,7 @@ enum ChannelWork<'a> {
 /// let mut sharded = Chip::new(config);
 /// let a = serial.run_closed_loop(&source, ShardDispatch::Serial);
 /// let b = sharded.run_closed_loop(&source, ShardDispatch::Sharded);
-/// // Channels share nothing: one worker thread per channel is
+/// // Channels share nothing: sharding them over worker threads is
 /// // bit-identical to serving them one after another.
 /// assert_eq!(a, b);
 /// assert_eq!(a.completed, 2 * 500);
@@ -524,22 +526,15 @@ impl Chip {
     fn dispatch(&mut self, work: Vec<ChannelWork<'_>>, dispatch: ShardDispatch) -> ChipRun {
         let config = &self.config;
         let bank_config = &self.bank_config;
+        let serve = |first: usize, shard: &mut [ChannelState]| {
+            for (offset, state) in shard.iter_mut().enumerate() {
+                let channel = first + offset;
+                run_channel(config, bank_config, channel, &work[channel], state);
+            }
+        };
         match dispatch {
-            ShardDispatch::Serial => {
-                for (channel, (state, work)) in self.channels.iter_mut().zip(work).enumerate() {
-                    run_channel(config, bank_config, channel, work, state);
-                }
-            }
-            ShardDispatch::Sharded => {
-                crossbeam::scope(|scope| {
-                    for (channel, (state, work)) in self.channels.iter_mut().zip(work).enumerate() {
-                        scope.spawn(move |_| {
-                            run_channel(config, bank_config, channel, work, state);
-                        });
-                    }
-                })
-                .unwrap_or_else(stt_stats::resume_panic);
-            }
+            ShardDispatch::Serial => serve(0, &mut self.channels),
+            ShardDispatch::Sharded => stt_stats::fan_out(&mut self.channels, serve),
         }
         ChipRun {
             telemetry: self.telemetry(),
@@ -707,18 +702,18 @@ impl<'a> ChannelSim<'a> {
     }
 }
 
-/// One channel's event loop, serial or on its own worker thread — the code
-/// path is the same either way, which is the whole determinism argument.
+/// One channel's event loop, serial or on a shard worker — the code path is
+/// the same either way, which is the whole determinism argument.
 fn run_channel(
     config: &ChipConfig,
     bank_config: &ControllerConfig,
     channel: usize,
-    work: ChannelWork<'_>,
+    work: &ChannelWork<'_>,
     state: &mut ChannelState,
 ) {
     let mut sim = ChannelSim::new(config, bank_config, channel, state.resident.len());
 
-    let (trace, source): (&[(usize, Transaction)], Option<&ClosedLoopSource>) = match &work {
+    let (trace, source): (&[(usize, Transaction)], Option<&ClosedLoopSource>) = match work {
         ChannelWork::Trace(txns) => (txns.as_slice(), None),
         ChannelWork::Closed(source) => (&[], Some(source)),
     };

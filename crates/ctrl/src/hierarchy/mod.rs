@@ -21,7 +21,8 @@
 //!
 //! Channels share nothing: every bank's RNG streams derive from `(chip
 //! seed, global bank index)` and every source stream from `(source seed,
-//! channel)`, so [`ShardDispatch::Sharded`] (one worker thread per channel)
+//! channel)`, so [`ShardDispatch::Sharded`] (channel shards over at most
+//! `available_parallelism()` worker threads)
 //! produces **equal** telemetry and stored state to
 //! [`ShardDispatch::Serial`] — property-tested across schemes, policies and
 //! fault plans.

@@ -23,8 +23,9 @@ use stt_array::Address;
 
 /// Counts per level of the chip hierarchy.
 ///
-/// Every level count must be at least 1; the [`Topology::new`] constructor
-/// and the `CxRxGxB` parser both enforce it.
+/// Every level count must be at least 1, and the bank count (the product of
+/// all four) must fit a `usize`; the [`Topology::new`] constructor and the
+/// `CxRxGxB` parser both enforce it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Topology {
     /// Independent channels (the sharding grain: channels share nothing).
@@ -42,7 +43,8 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if any level count is zero.
+    /// Panics if any level count is zero or the bank count overflows
+    /// `usize`.
     #[must_use]
     pub fn new(channels: usize, ranks: usize, groups: usize, banks: usize) -> Self {
         let topology = Self {
@@ -74,6 +76,10 @@ impl Topology {
             self.channels > 0 && self.ranks > 0 && self.groups > 0 && self.banks > 0,
             "every topology level needs at least one member, got {self}"
         );
+        let counts = [self.channels, self.ranks, self.groups, self.banks];
+        if let Some(level) = overflowing_level(counts) {
+            panic!("topology {self} overflows usize banks at the {level} level");
+        }
     }
 
     /// Banks per channel (`ranks × groups × banks`).
@@ -175,6 +181,12 @@ pub enum GeometryParseErrorKind {
         /// Which level was zero.
         level: &'static str,
     },
+    /// Every count parsed, but the bank count (their product) overflows
+    /// `usize`.
+    Overflow {
+        /// The level whose count pushed the running product past `usize`.
+        level: &'static str,
+    },
 }
 
 impl GeometryParseErrorKind {
@@ -185,7 +197,8 @@ impl GeometryParseErrorKind {
         match self {
             GeometryParseErrorKind::FieldCount { .. } => None,
             GeometryParseErrorKind::BadCount { level, .. }
-            | GeometryParseErrorKind::ZeroCount { level } => Some(level),
+            | GeometryParseErrorKind::ZeroCount { level }
+            | GeometryParseErrorKind::Overflow { level } => Some(level),
         }
     }
 }
@@ -203,6 +216,9 @@ impl std::fmt::Display for GeometryParseError {
             GeometryParseErrorKind::ZeroCount { level } => {
                 write!(f, "{level} count must be at least 1")
             }
+            GeometryParseErrorKind::Overflow { level } => {
+                write!(f, "bank count overflows at the {level} level")
+            }
         }
     }
 }
@@ -215,7 +231,6 @@ impl FromStr for Topology {
     /// Parses the `CxRxGxB` notation (`"4x2x4x4"`), case-insensitive on the
     /// separator.
     fn from_str(text: &str) -> Result<Self, Self::Err> {
-        const LEVELS: [&str; 4] = ["channels", "ranks", "groups", "banks"];
         let err = |kind| GeometryParseError { kind };
         let fields: Vec<&str> = text.split(['x', 'X']).collect();
         if fields.len() != 4 {
@@ -236,8 +251,28 @@ impl FromStr for Topology {
             }
             *slot = value;
         }
+        if let Some(level) = overflowing_level(counts) {
+            return Err(err(GeometryParseErrorKind::Overflow { level }));
+        }
         Ok(Topology::new(counts[0], counts[1], counts[2], counts[3]))
     }
+}
+
+/// The hierarchy levels, outermost first.
+const LEVELS: [&str; 4] = ["channels", "ranks", "groups", "banks"];
+
+/// The first level (outermost first) at which the running product of
+/// `counts` — the bank count — overflows `usize`, if any. When the full
+/// product fits, so does every partial product the topology computes
+/// (`banks_per_channel`), since every count is at least 1.
+fn overflowing_level(counts: [usize; 4]) -> Option<&'static str> {
+    counts
+        .into_iter()
+        .zip(LEVELS)
+        .try_fold(1usize, |product, (count, level)| {
+            product.checked_mul(count).ok_or(level)
+        })
+        .err()
 }
 
 /// The coordinate of one bank within a [`Topology`].
@@ -371,6 +406,33 @@ mod tests {
             error.to_string(),
             "geometry: groups count must be at least 1"
         );
+    }
+
+    #[test]
+    fn parse_rejects_bank_counts_that_overflow() {
+        // "4294967296x4294967296x2x1" on a 64-bit host.
+        let half = 1usize << (usize::BITS / 2);
+        let error = format!("{half}x{half}x2x1")
+            .parse::<Topology>()
+            .unwrap_err();
+        assert_eq!(
+            error.kind,
+            GeometryParseErrorKind::Overflow { level: "ranks" }
+        );
+        assert_eq!(error.kind.level(), Some("ranks"));
+        let error = format!("{}x2x1x1", usize::MAX)
+            .parse::<Topology>()
+            .unwrap_err();
+        assert_eq!(
+            error.to_string(),
+            "geometry: bank count overflows at the ranks level"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize banks at the banks level")]
+    fn overflowing_topologies_are_rejected() {
+        let _ = Topology::new(usize::MAX / 2, 1, 1, 3);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * [`retry`] — guard-band read-retry with a mean-sign fallback.
 //! * [`faults`] — traffic-driven power cuts and stuck-at defects.
 //! * [`bank`] — one bank: cell store + truth mirror + RNG + telemetry.
-//! * [`engine`] — the [`Controller`]: partition a trace per bank, serve it
-//!   serially or on one scoped thread per bank, bit-identically.
+//! * [`engine`] — the [`Controller`]: serve each bank's transactions in
+//!   trace order, serially or sharded over scoped worker threads,
+//!   bit-identically.
 //! * [`reliability`] — the (72,64) SECDED codec, background-scrub plumbing,
 //!   and the fault-injection campaign harness.
 //! * [`march`] — the manufacturing-test subsystem: March algorithms

@@ -1,5 +1,11 @@
 //! Drives a lowered March program through every bank of a controller.
+//!
+//! Banks run the same lowered schedule independently, so
+//! [`Dispatch::Parallel`] splits them into contiguous shards over at most
+//! `available_parallelism()` scoped workers (`stt_stats::fan_out`) with the
+//! same loop body [`Dispatch::Serial`] runs on the calling thread.
 
+use crate::bank::Bank;
 use crate::engine::{Controller, Dispatch};
 use crate::march::program::{DataBackground, MarchAlgorithm};
 use crate::telemetry::Telemetry;
@@ -57,29 +63,16 @@ pub fn run_march_with(
     let steps = algorithm
         .program()
         .lower_with_background(cells, cols, background);
-    match dispatch {
-        Dispatch::Serial => {
-            for bank in controller.banks_mut() {
-                for step in &steps {
-                    bank.execute_march_op(step.cell, step.op, step.element, raw, &faults);
-                }
+    let march = |_first: usize, banks: &mut [Bank]| {
+        for bank in banks {
+            for step in &steps {
+                bank.execute_march_op(step.cell, step.op, step.element, raw, &faults);
             }
         }
-        Dispatch::Parallel => {
-            let banks = controller.banks_mut();
-            let faults = &faults;
-            let steps = &steps;
-            crossbeam::scope(|scope| {
-                for bank in banks.iter_mut() {
-                    scope.spawn(move |_| {
-                        for step in steps {
-                            bank.execute_march_op(step.cell, step.op, step.element, raw, faults);
-                        }
-                    });
-                }
-            })
-            .unwrap_or_else(stt_stats::resume_panic);
-        }
+    };
+    match dispatch {
+        Dispatch::Serial => march(0, controller.banks_mut()),
+        Dispatch::Parallel => stt_stats::fan_out(controller.banks_mut(), march),
     }
     controller.telemetry()
 }

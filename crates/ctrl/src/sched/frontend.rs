@@ -741,7 +741,7 @@ impl Frontend {
     /// The simulated clock restarts at zero for each call; accumulated
     /// telemetry (including queueing horizons) sums across calls.
     ///
-    /// All working storage (event heap, lane arenas, completion columns,
+    /// All working storage (event heap, lane queues, completion columns,
     /// retry waitlists) is preallocated from the trace length before the
     /// event loop starts, so the fault-free steady state performs no heap
     /// allocation — [`SchedRun::steady_state_allocs`] reports what a
@@ -801,20 +801,21 @@ impl Frontend {
         // can never fire, banks never interact, and the only event kinds
         // are fresh arrivals and completions. That specialisation replaces
         // the event heap with a slot calendar (one slot for the sorted
-        // arrival stream, one per bank), and the shared slab queue with
-        // lane-local FIFO rings, preserving the heap's exact `(time, seq)`
-        // pop order — see DESIGN.md §12. The bank-count gate bounds the
-        // per-event slot scan.
+        // arrival stream, one per bank), and the lane queues' 64-byte
+        // `Queued` entries with 16-byte lane-local FIFO rings, preserving
+        // the heap's exact `(time, seq)` pop order — see DESIGN.md §12. The
+        // bank-count gate bounds the per-event slot scan.
         let fast_path = matches!(policy, Policy::Fcfs)
             && queue_depth == usize::MAX
             && scrub.is_none()
             && march.is_none()
             && calib.is_none()
             && bank_count <= FAST_PATH_MAX_BANKS;
-        // Lane arenas sized to the deepest each queue can get this run (a
-        // lane can only ever hold its own bank's transactions); the retry
+        // Lane queues sized to the deepest each can get this run (a lane
+        // can only ever hold its own bank's transactions); the retry
         // waitlist can hold every one of them in the worst case. The fast
-        // path queues in its own rings, so its slab stays unallocated.
+        // path queues in its own rings, so its lane queues stay
+        // unallocated.
         let retrying = matches!(backpressure, Backpressure::Retry { .. });
         let mut lanes: Vec<Lane> = bank_load
             .iter()
@@ -1138,7 +1139,7 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
                 events.schedule(1 + b, complete_ns, ());
             } else {
                 // `Lane::admit` against the lane-local FIFO ring: same
-                // counter and depth-integral updates, no slab indirection.
+                // counter and depth-integral updates on a 16-byte entry.
                 lane.stats.depth_time_ns += rings[b].len() as f64 * (now - lane.last_change_ns);
                 lane.last_change_ns = now;
                 rings[b].push_back(FastQueued {

@@ -42,7 +42,6 @@
 //! stored state, same audit counters — while additionally reporting sojourn
 //! quantiles, occupancy and backpressure counts.
 
-pub(crate) mod arena;
 pub mod event;
 pub mod frontend;
 pub mod policy;

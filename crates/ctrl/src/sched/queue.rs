@@ -8,12 +8,12 @@
 //! that rule once — [`BankQueue::eligible`] yields exactly the entries a
 //! policy may legally pick — so every policy inherits it for free.
 //!
-//! Storage is arena-backed (DESIGN.md §12): entries live in a
-//! `Slab` (`sched::arena`) under stable `u32` keys and the FIFO is a
-//! ring of keys, so admitting moves one 64-byte struct into a reused slot,
-//! serving the head is an O(1) ring pop, and — after the preallocation the
-//! frontend requests via [`BankQueue::with_capacity_hint`] — the steady
-//! state allocates nothing.
+//! Storage is one admission-order ring of the entries themselves
+//! (DESIGN.md §12): admitting pushes one 64-byte struct at the tail,
+//! serving the head is an O(1) pop, a policy's pick from the middle shifts
+//! the shorter side of the ring, and — after the preallocation the frontend
+//! requests via [`BankQueue::with_capacity_hint`] — the steady state
+//! allocates nothing.
 //!
 //! The module also holds the lane core (`Lane`): one bank's queue, what
 //! occupies its service stage and its queueing counters, plus the one
@@ -24,7 +24,6 @@ use std::collections::VecDeque;
 
 use crate::bank::Bank;
 use crate::faults::FaultPlan;
-use crate::sched::arena::Slab;
 use crate::telemetry::QueueTelemetry;
 use crate::txn::Transaction;
 
@@ -47,10 +46,8 @@ pub struct Queued {
 /// A bounded FIFO of waiting transactions for one bank.
 #[derive(Debug, Clone)]
 pub struct BankQueue {
-    /// Entry storage; freed slots are reused LIFO.
-    slab: Slab<Queued>,
-    /// Admission-order ring of slab keys.
-    order: VecDeque<u32>,
+    /// Waiting entries in admission order.
+    entries: VecDeque<Queued>,
     capacity: usize,
     /// Write-drain hysteresis flag for the read-priority policy: set when
     /// queued writes reach the high-water mark, cleared when they drain to
@@ -84,8 +81,7 @@ impl BankQueue {
             "bank queues need capacity for at least one entry"
         );
         Self {
-            slab: Slab::with_capacity(hint),
-            order: VecDeque::with_capacity(hint),
+            entries: VecDeque::with_capacity(hint),
             capacity,
             draining: false,
         }
@@ -94,19 +90,19 @@ impl BankQueue {
     /// Number of waiting transactions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.entries.len()
     }
 
     /// `true` when nothing is waiting.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.entries.is_empty()
     }
 
     /// `true` when the queue cannot admit another transaction.
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.order.len() >= self.capacity
+        self.entries.len() >= self.capacity
     }
 
     /// The waiting transaction at queue position `index` (admission order;
@@ -117,12 +113,12 @@ impl BankQueue {
     /// Panics if `index` is out of bounds.
     #[must_use]
     pub fn entry(&self, index: usize) -> &Queued {
-        self.slab.get(self.order[index])
+        &self.entries[index]
     }
 
     /// Iterates the waiting transactions in admission order.
     pub fn iter(&self) -> impl Iterator<Item = &Queued> + '_ {
-        self.order.iter().map(|&key| self.slab.get(key))
+        self.entries.iter()
     }
 
     /// Number of waiting writes.
@@ -139,23 +135,21 @@ impl BankQueue {
     /// by the time an entry reaches the queue the decision is already made.
     pub fn admit(&mut self, queued: Queued) {
         assert!(!self.is_full(), "admit() on a full queue");
-        let key = self.slab.insert(queued);
-        self.order.push_back(key);
+        self.entries.push_back(queued);
     }
 
     /// Indices of entries a policy may legally serve next: an entry is
     /// eligible iff no *earlier-admitted* entry targets the same address.
     /// The head of the queue is therefore always eligible.
     pub fn eligible(&self) -> impl Iterator<Item = usize> + '_ {
-        self.order.iter().enumerate().filter_map(move |(i, &key)| {
-            let addr = self.slab.get(key).txn.addr;
-            let blocked = self
-                .order
-                .iter()
-                .take(i)
-                .any(|&p| self.slab.get(p).txn.addr == addr);
-            (!blocked).then_some(i)
-        })
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, entry)| {
+                let addr = entry.txn.addr;
+                let blocked = self.entries.iter().take(i).any(|p| p.txn.addr == addr);
+                (!blocked).then_some(i)
+            })
     }
 
     /// Removes and returns the entry at queue position `index`, preserving
@@ -165,12 +159,13 @@ impl BankQueue {
     ///
     /// Panics if `index` is out of bounds.
     pub fn take(&mut self, index: usize) -> Queued {
-        let key = if index == 0 {
-            self.order.pop_front().expect("take(0) on an empty queue")
+        if index == 0 {
+            self.entries.pop_front().expect("take(0) on an empty queue")
         } else {
-            self.order.remove(index).expect("queue position in bounds")
-        };
-        self.slab.remove(key)
+            self.entries
+                .remove(index)
+                .expect("queue position in bounds")
+        }
     }
 }
 
@@ -406,7 +401,7 @@ mod tests {
         assert_eq!(mid.trace_index, 2);
         let remaining: Vec<usize> = queue.iter().map(|q| q.trace_index).collect();
         assert_eq!(remaining, vec![0, 1, 3]);
-        // Freed slot is reused: admitting again does not grow the arena.
+        // Admission after a middle take still lands at the tail.
         queue.admit(queued(9, Transaction::read(0, Address::new(9, 0))));
         assert_eq!(queue.entry(3).trace_index, 9);
     }

@@ -32,7 +32,7 @@ pub mod table;
 pub mod yields;
 
 pub use dist::{LogNormal, Normal, Uniform};
-pub use mc::{fill_indexed, resume_panic, run_trial_batches, run_trials, trial_rng};
+pub use mc::{fan_out, fill_indexed, resume_panic, run_trial_batches, run_trials, trial_rng};
 pub use p2::P2Quantile;
 pub use regression::{pearson, LinearFit};
 pub use summary::{quantile, Histogram, Summary};

@@ -4,6 +4,9 @@
 //! [`run_trials`] fans them out over threads with **per-trial seeded RNGs**,
 //! so results are bit-identical regardless of thread count or scheduling —
 //! a requirement for reproducible experiment tables.
+//!
+//! Every shard-parallel loop of the workspace runs through [`fan_out`]:
+//! contiguous chunks over at most `available_parallelism()` workers.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,9 +44,9 @@ where
 /// Computes `fill(index)` for every index in `0..count` across scoped worker
 /// threads, returning the results in index order.
 ///
-/// This is the scoped-thread fan-out behind [`run_trials`]; it is exposed so
+/// This is the [`fan_out`] behind [`run_trials`]; it is exposed so
 /// other crates (the chip experiment's per-bit tally, the traffic engine's
-/// bank dispatch) can parallelise index-addressed loops the same way.
+/// bank construction) can parallelise index-addressed loops the same way.
 /// Results are a pure function of `index`, so the output is identical for
 /// any thread count or scheduling.
 pub fn fill_indexed<T, F>(count: usize, fill: F) -> Vec<T>
@@ -51,32 +54,48 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(count.max(1));
-    if threads <= 1 || count <= 1 {
-        return (0..count).map(&fill).collect();
-    }
-
     let mut results: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    let chunk = count.div_ceil(threads);
-    crossbeam::scope(|scope| {
-        for (worker, slice) in results.chunks_mut(chunk).enumerate() {
-            let fill = &fill;
-            scope.spawn(move |_| {
-                let base = worker * chunk;
-                for (offset, slot) in slice.iter_mut().enumerate() {
-                    *slot = Some(fill(base + offset));
-                }
-            });
+    fan_out(&mut results, |first, slots| {
+        for (offset, slot) in slots.iter_mut().enumerate() {
+            *slot = Some(fill(first + offset));
         }
-    })
-    .unwrap_or_else(resume_panic);
+    });
     results
         .into_iter()
         .map(|slot| slot.expect("every slot filled"))
         .collect()
+}
+
+/// Calls `work(first_index, chunk)` over contiguous chunks of `items` that
+/// together cover the slice exactly once, on at most
+/// [`available_parallelism`](std::thread::available_parallelism) scoped
+/// worker threads — on the calling thread alone (`work(0, items)`) when one
+/// worker suffices.
+///
+/// When items share nothing, results do not depend on the host's core
+/// count: every item meets the same `work` body whichever chunk it lands
+/// in. A panicking worker's payload is re-raised unchanged.
+pub fn fan_out<T, F>(items: &mut [T], work: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let threads = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+        .min(items.len());
+    if threads <= 1 {
+        work(0, items);
+        return;
+    }
+    let chunk = items.len().div_ceil(threads);
+    crossbeam::scope(|scope| {
+        for (worker, slice) in items.chunks_mut(chunk).enumerate() {
+            let work = &work;
+            scope.spawn(move |_| work(worker * chunk, slice));
+        }
+    })
+    .unwrap_or_else(resume_panic);
 }
 
 /// Re-raises a scoped worker's panic with its original payload.
@@ -230,5 +249,43 @@ mod tests {
         assert_eq!(results, (0..1000).map(|k| k * 2).collect::<Vec<_>>());
         let empty: Vec<usize> = fill_indexed(0, |index| index);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn fan_out_covers_every_index_once_on_bounded_workers() {
+        let cores = std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1);
+        // (visits, index seen, worker) per item.
+        let mut items = vec![(0usize, usize::MAX, None); 4 * cores];
+        fan_out(&mut items, |first, chunk| {
+            for (offset, item) in chunk.iter_mut().enumerate() {
+                *item = (
+                    item.0 + 1,
+                    first + offset,
+                    Some(std::thread::current().id()),
+                );
+            }
+        });
+        for (position, &(visits, index, _)) in items.iter().enumerate() {
+            assert_eq!((visits, index), (1, position));
+        }
+        let workers: std::collections::HashSet<_> =
+            items.iter().map(|&(_, _, worker)| worker).collect();
+        assert!(
+            workers.len() <= cores,
+            "{} workers on {cores} cores",
+            workers.len()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk ending at item 64")]
+    fn fan_out_resumes_a_worker_panic_with_its_message() {
+        let mut items = vec![0u8; 64];
+        fan_out(&mut items, |first, chunk| {
+            let end = first + chunk.len();
+            assert!(end < 64, "chunk ending at item {end} failed");
+        });
     }
 }

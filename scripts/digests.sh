@@ -11,8 +11,10 @@
 #   * the md5 of each `trafficsim` sweep CSV (default, load, reliability,
 #     topology, March and thermal sweeps at their default sizes);
 #   * the md5 of the `handheld_trace` example's output;
-#   * the `sim digest` line `perfbench` prints for replay-ecc, frontend-open
-#     and chip-closed at seeds 1 and 90210.
+#   * the md5 of the CSVs `repro fig11` and `repro fig5mc` write (the
+#     `run_trials` / `run_trial_batches` Monte-Carlo fan-outs);
+#   * the `sim digest` line `perfbench` prints for replay-ecc, frontend-open,
+#     chip-closed and circuit-mc at seeds 1 and 90210.
 #
 # Takes a few minutes on a 2-core host (the default-size sweeps dominate).
 
@@ -41,7 +43,14 @@ done
 printf 'handheld_trace %s\n' \
     "$(cargo run --release -q --example handheld_trace | md5sum | cut -d' ' -f1)"
 
-for workload in replay-ecc frontend-open chip-closed; do
+for experiment in fig11 fig5mc; do
+    cargo run --release -q -p stt-bench --bin repro -- "$experiment" --csv "$out_dir/repro" \
+        > /dev/null
+    printf 'repro %s.csv %s\n' "$experiment" \
+        "$(md5sum < "$out_dir/repro/$experiment.csv" | cut -d' ' -f1)"
+done
+
+for workload in replay-ecc frontend-open chip-closed circuit-mc; do
     for seed in 1 90210; do
         line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
             --workload "$workload" --seed "$seed" --seconds 0.1 --trace 0 \

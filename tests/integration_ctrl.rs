@@ -2,7 +2,7 @@
 //!
 //! The three properties the controller stakes its design on:
 //!
-//! 1. **Determinism** — a parallel run (one thread per bank) returns
+//! 1. **Determinism** — a parallel run (banks sharded over threads) returns
 //!    telemetry equal to a serial run of the same trace and seed.
 //! 2. **Retry is safe** — the retry policy can never flip a read whose
 //!    first attempt was already confident (checked as a proptest).

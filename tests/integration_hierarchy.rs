@@ -2,8 +2,8 @@
 //!
 //! The properties the subsystem stakes its design on:
 //!
-//! 1. **Sharded ≡ serial, bit-identically** — one worker thread per channel
-//!    produces exactly the telemetry and stored state of serving channels
+//! 1. **Sharded ≡ serial, bit-identically** — channels sharded over worker
+//!    threads produce exactly the telemetry and stored state of serving channels
 //!    one after another, across every sensing scheme, with and without
 //!    fault injection, for closed-loop and trace-replay driving alike.
 //! 2. **Interleaving is bijective** — for every policy and random geometry,
